@@ -75,9 +75,18 @@ struct RoutinePlan {
 RoutinePlan plan_routine(rt::Runtime& runtime, Blas3 routine, std::size_t n,
                          const blas::EmitOptions& emit, int P, int Q);
 
-/// Run a paper benchmark under `spec`: the standard skeleton shared by every
-/// library model (scenario handling, emission, coherency, result capture).
+/// Run a paper benchmark under `spec` through run_plan.
 BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg);
+
+/// The run skeleton every entry point shares: builds the platform and the
+/// runtime under `spec`, attaches the opt-in layers of `cfg`, runs the plan
+/// `make_plan` builds on that runtime (its distribution phase first when
+/// data-on-device, then emission and, on the host, coherency) and harvests
+/// the result.  `meta` carries the routine/n/tile that name the run in
+/// ledgers and flight dumps; lib, scenario and seed are filled in here.
+BenchResult run_plan(const ModelSpec& spec, const RunConfig& cfg,
+                     obs::LedgerMeta meta,
+                     const std::function<RoutinePlan(rt::Runtime&)>& make_plan);
 
 /// A LibraryModel entirely described by a ModelSpec.
 class SpecModel : public LibraryModel {

@@ -8,7 +8,6 @@
 #include "baselines/common.hpp"
 #include "fault/injector.hpp"
 #include "obs/ledger.hpp"
-#include "obs/report.hpp"
 
 namespace xkb::baselines {
 
@@ -231,13 +230,38 @@ void BenchConfig::validate() const {
 
 BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg) {
   cfg.validate();
-  BenchResult res;
   if (cfg.n > spec.max_n) {
+    BenchResult res;
     res.failed = true;
     res.error = "memory allocation error";
     return res;
   }
+  obs::LedgerMeta meta;
+  meta.routine = blas3_name(cfg.routine);
+  meta.n = cfg.n;
+  meta.tile = cfg.tile;
+  return run_plan(spec, cfg, std::move(meta), [&](rt::Runtime& runtime) {
+    blas::EmitOptions emit;
+    emit.tile = cfg.tile;
+    emit.attach_functional = false;
+    emit.flush_outputs_each_task = spec.flush_outputs_each_task;
+    auto [P, Q] = blas::default_grid(runtime.platform().num_gpus());
+    auto bc = [P = P, Q = Q](std::size_t i, std::size_t j) {
+      return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
+             static_cast<int>(j % static_cast<std::size_t>(Q));
+    };
+    if (spec.static_block_cyclic)
+      emit.force_place = bc;
+    else
+      emit.home = bc;
+    return plan_routine(runtime, cfg.routine, cfg.n, emit, P, Q);
+  });
+}
 
+BenchResult run_plan(
+    const ModelSpec& spec, const RunConfig& cfg, obs::LedgerMeta meta,
+    const std::function<RoutinePlan(rt::Runtime&)>& make_plan) {
+  BenchResult res;
   rt::PerfModel perf = cfg.perf;
   perf.peak_flops_dp *= spec.peak_scale;
 
@@ -275,55 +299,19 @@ BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg) {
     sched = std::make_unique<rt::OwnerComputesScheduler>(spec.stealing);
   rt::Runtime runtime(plat, std::move(sched), ropt);
 
-  blas::EmitOptions emit;
-  emit.tile = cfg.tile;
-  emit.attach_functional = false;
-  emit.flush_outputs_each_task = spec.flush_outputs_each_task;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  auto bc = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
-  if (spec.static_block_cyclic)
-    emit.force_place = bc;
-  else
-    emit.home = bc;
+  RoutinePlan plan = make_plan(runtime);
 
-  RoutinePlan plan = plan_routine(runtime, cfg.routine, cfg.n, emit, P, Q);
-
-  const auto ledger_meta = [&] {
-    obs::LedgerMeta lm;
-    lm.lib = spec.name;
-    lm.routine = blas3_name(cfg.routine);
-    lm.scenario = cfg.data_on_device ? "data-on-device" : "data-on-host";
-    lm.n = cfg.n;
-    lm.tile = cfg.tile;
-    lm.seed = cfg.fault_plan.seed;
-    return lm;
-  };
+  meta.lib = spec.name;
+  meta.scenario = cfg.data_on_device ? "data-on-device" : "data-on-host";
+  meta.seed = cfg.fault_plan.seed;
   // Register the run identity so a watchdog-stall dump composed inside the
   // runtime still names the lib/routine.
-  if (o) o->set_ledger_meta(ledger_meta());
-  // Compose a flight-recorder dump at a failure site.  Runtime::on_stuck
-  // stashes its own dump (with the pre-stall ledger snapshot) before the
-  // StuckProgress throw; "first dump wins", so this only fills in for
-  // failures that bypassed on_stuck (OOM, retries exhausted, data loss,
-  // checker violations seen after the run).
-  const auto compose_flight = [&](const std::string& reason) {
-    if (!o) return;
-    if (o->flight_dump().empty()) {
-      o->finalize_registry();
-      const obs::RunLedger snap = obs::build_ledger(
-          plat.trace(), plat.topology(), o.get(), 0, ledger_meta());
-      o->set_flight_dump(o->flight().dump_json(reason, obs::ledger_json(snap)));
-    }
-    res.flight_json = o->flight_dump();
-    res.obs = o;
-  };
+  if (o) o->set_ledger_meta(meta);
 
-  double t0 = 0.0;
-  rt::TransferStats s0{};  // stats issued before the measured region
+  // Why the run needs a flight-recorder dump; empty when it does not.
+  std::string dump_reason;
   try {
+    double t0 = 0.0;
     if (cfg.data_on_device) {
       plan.distribute();
       // run() reports the last *observable* instant: pending silent fault
@@ -331,7 +319,6 @@ BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg) {
       t0 = runtime.run();
       plat.trace().clear();
       if (o) o->clear();  // observe only the measured (compute) phase
-      s0 = runtime.data_manager().stats();
     }
     plan.emit();
     if (spec.coherent_at_end && !cfg.data_on_device) plan.coherent();
@@ -342,11 +329,40 @@ BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg) {
       seconds += (plan.input_bytes + plan.output_bytes) / perf.host_conv_bw;
     res.seconds = seconds;
     res.tflops = plan.flops / seconds / 1e12;
+
+    res.breakdown = plat.trace().breakdown();
+    res.per_gpu = plat.trace().breakdowns(plat.num_gpus());
+    res.transfers = runtime.data_manager().stats();
+    res.steals = runtime.steals();
+    res.tasks = runtime.tasks_completed();
+    res.events_processed = plat.engine().events_processed();
+    res.events_observable = plat.engine().observable_processed();
+    res.events_peak_pending = plat.engine().peak_pending();
+    if (inj) {
+      res.task_remaps = runtime.task_remaps();
+      res.task_replays = runtime.task_replays();
+      const rt::TransferStats& ts = res.transfers;
+      std::ostringstream js;
+      js << "{\"injector\":" << inj->counters_json()
+         << ",\"unconsumed_xfail\":" << inj->unconsumed_transfer_faults()
+         << ",\"recovery\":{\"transfer_aborts\":" << ts.transfer_aborts
+         << ",\"transfer_retries\":" << ts.transfer_retries
+         << ",\"waiter_replans\":" << ts.waiter_replans
+         << ",\"task_remaps\":" << res.task_remaps
+         << ",\"task_replays\":" << res.task_replays << "}}";
+      res.fault_json = js.str();
+    }
+    if (const check::Checker* c = runtime.checker()) {
+      res.check_ok = c->ok();
+      res.check_violations = c->total_violations();
+      res.check_report = c->report();
+      res.event_hash = c->event_hash();
+    }
+    if (!res.check_ok) dump_reason = "checker-violation";
   } catch (const mem::OutOfDeviceMemory& e) {
     res.failed = true;
     res.error = e.what();
-    compose_flight(std::string("oom: ") + e.what());
-    return res;
+    dump_reason = std::string("oom: ") + e.what();
   } catch (const fault::FaultError& e) {
     // Failed-but-diagnosed: the recovery machinery hit its documented
     // limits (retries exhausted, unrecoverable dirty loss, stuck run).
@@ -354,76 +370,30 @@ BenchResult run_with_spec(const ModelSpec& spec, const BenchConfig& cfg) {
     res.error = e.what();
     res.task_remaps = runtime.task_remaps();
     res.task_replays = runtime.task_replays();
-    compose_flight(std::string("fault: ") + e.what());
-    return res;
+    dump_reason = std::string("fault: ") + e.what();
   }
 
-  res.breakdown = plat.trace().breakdown();
-  for (int g = 0; g < plat.num_gpus(); ++g)
-    res.per_gpu.push_back(plat.trace().breakdown(g));
-  res.transfers = runtime.data_manager().stats();
-  res.steals = runtime.steals();
-  res.tasks = runtime.tasks_completed();
-  res.events_processed = plat.engine().events_processed();
-  res.events_observable = plat.engine().observable_processed();
-  res.events_peak_pending = plat.engine().peak_pending();
-  if (inj) {
-    res.task_remaps = runtime.task_remaps();
-    res.task_replays = runtime.task_replays();
-    const rt::TransferStats& ts = res.transfers;
-    std::ostringstream js;
-    js << "{\"injector\":" << inj->counters_json()
-       << ",\"unconsumed_xfail\":" << inj->unconsumed_transfer_faults()
-       << ",\"recovery\":{\"transfer_aborts\":" << ts.transfer_aborts
-       << ",\"transfer_retries\":" << ts.transfer_retries
-       << ",\"waiter_replans\":" << ts.waiter_replans
-       << ",\"task_remaps\":" << res.task_remaps
-       << ",\"task_replays\":" << res.task_replays << "}}";
-    res.fault_json = js.str();
-  }
-  if (const check::Checker* c = runtime.checker()) {
-    res.check_ok = c->ok();
-    res.check_violations = c->total_violations();
-    res.check_report = c->report();
-    res.event_hash = c->event_hash();
-  }
   if (o) {
     o->finalize_registry();
-    const obs::RunReport rep =
-        obs::build_report(plat.trace(), plat.topology(), o.get());
-    res.metrics_json = obs::report_json(rep, o.get());
-    res.ledger_json = obs::ledger_json(obs::build_ledger(
-        plat.trace(), plat.topology(), o.get(), res.event_hash,
-        ledger_meta()));
-    res.obs = o;
-    if (runtime.checker()) {
-      // Cross-validate the two independent accounting paths: observed event
-      // stream vs runtime counters and trace aggregation.
-      const rt::TransferStats& ts = runtime.data_manager().stats();
-      obs::Observability::ReconcileView v;
-      v.h2d = ts.h2d - s0.h2d;
-      v.d2h = ts.d2h - s0.d2h;
-      v.d2d = ts.d2d - s0.d2d;
-      v.optimistic_waits = ts.optimistic_waits - s0.optimistic_waits;
-      v.forced_waits = ts.forced_waits - s0.forced_waits;
-      const trace::Breakdown b = plat.trace().breakdown();
-      v.htod = b.htod;
-      v.dtoh = b.dtoh;
-      v.ptop = b.ptop;
-      v.kernel = b.kernel;
-      v.htod_bytes = plat.trace().bytes(trace::OpKind::kHtoD);
-      v.dtoh_bytes = plat.trace().bytes(trace::OpKind::kDtoH);
-      v.ptop_bytes = plat.trace().bytes(trace::OpKind::kPtoP);
-      const std::vector<std::string> mismatches = o->reconcile(v);
-      if (!mismatches.empty()) {
-        res.check_ok = false;
-        res.check_violations += mismatches.size();
-        for (const std::string& m : mismatches)
-          res.check_report += "[obs] " + m + "\n";
-      }
+    // Runtime::on_stuck stashes its own dump (with the pre-stall ledger
+    // snapshot) before the StuckProgress throw; "first dump wins", so this
+    // only fills in for failures that bypassed it (OOM, retries exhausted,
+    // data loss, checker violations seen after the run).
+    if (!dump_reason.empty()) {
+      if (o->flight_dump().empty())
+        o->set_flight_dump(o->flight().dump_json(
+            dump_reason, obs::ledger_json(obs::build_ledger(
+                             plat.trace(), plat.topology(), o.get(), 0,
+                             meta))));
+      res.flight_json = o->flight_dump();
     }
+    // Keep the artifact inputs past the Platform's lifetime; the retained
+    // instance must not point into it.
+    res.trace = std::move(plat.trace());
+    res.topology = plat.topology();
+    o->set_trace(nullptr);
+    res.obs = std::move(o);
   }
-  if (!res.check_ok) compose_flight("checker-violation");
   return res;
 }
 

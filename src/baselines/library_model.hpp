@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,11 +32,12 @@
 
 namespace xkb::baselines {
 
-struct BenchConfig {
-  Blas3 routine = Blas3::kGemm;
-  std::size_t n = 16384;      ///< square matrix dimension
-  std::size_t tile = 2048;
-  bool data_on_device = false;  ///< 2D block-cyclic pre-distribution
+/// What every run shares, whatever task graph it emits: the scenario, the
+/// machine and cost model, and the opt-in layers.
+struct RunConfig {
+  /// Pre-place the operands on their block-cyclic homes before the
+  /// measured phase (the paper's data-on-device scenario).
+  bool data_on_device = false;
   topo::Topology topology = topo::Topology::dgx1();
   rt::PerfModel perf;
   std::size_t device_capacity = 32ull << 30;
@@ -44,9 +46,9 @@ struct BenchConfig {
   /// enabled the result carries the checker verdict and event-stream hash.
   check::CheckConfig check;
   /// Opt-in observability layer (metrics registry, link probes, decision
-  /// trace).  When enabled the result carries the metrics JSON and the live
-  /// Observability instance; combined with `check`, the obs accounting is
-  /// reconciled against TransferStats and the trace breakdown.
+  /// trace).  When enabled the result keeps the Observability instance,
+  /// the run's trace and its end-of-run topology: the inputs of
+  /// obs::build_report / build_ledger / to_chrome_json.
   obs::ObsConfig obs;
   /// Opt-in fault plan (xkb::fault).  Non-empty plans arm a deterministic
   /// Injector before the run; recovery statistics and injector counters
@@ -54,6 +56,13 @@ struct BenchConfig {
   /// unrecoverable data loss, stuck progress) is reported as a failed-but-
   /// diagnosed run, like an OOM.
   fault::FaultPlan fault_plan;
+};
+
+/// A paper benchmark: one square BLAS-3 call, tiled.
+struct BenchConfig : RunConfig {
+  Blas3 routine = Blas3::kGemm;
+  std::size_t n = 16384;      ///< square matrix dimension
+  std::size_t tile = 2048;
 
   /// Reject nonsensical configurations (n/tile of zero, tile > n, no
   /// kernel streams) with an actionable std::invalid_argument instead of a
@@ -80,20 +89,25 @@ struct BenchResult {
   std::uint64_t events_processed = 0;
   std::uint64_t events_observable = 0;
   std::uint64_t events_peak_pending = 0;
-  // Populated only when BenchConfig::check.enabled was set.
+  // Populated only when RunConfig::check.enabled was set.
   bool check_ok = true;
   std::size_t check_violations = 0;
   std::string check_report;
   std::uint64_t event_hash = 0;  ///< FNV-1a over the simulated event stream
-  // Populated only when BenchConfig::obs.enabled was set.
-  std::string metrics_json;  ///< report_json: span/links/critical-path/metrics
-  std::string ledger_json;   ///< RunLedger artifact (schema xkb.obs.ledger/1)
+  // Populated only when RunConfig::obs.enabled was set: the measurement
+  // layer (registry finalized, run identity in ledger_meta()), the measured
+  // phase's trace and the topology as the run left it (fault plans mutate
+  // it).  Artifacts are built from these on request, e.g.
+  // obs::build_ledger(trace, *topology, obs.get(), event_hash,
+  //                   obs->ledger_meta()).
+  std::shared_ptr<obs::Observability> obs;
+  trace::Trace trace;
+  std::optional<topo::Topology> topology;
   /// Flight-recorder dump (schema xkb.obs.flight/1): last-N observable
   /// events + decisions + fault marks with a ledger snapshot.  Written only
   /// when the run failed or the checker flagged a violation -- a clean run
   /// leaves it empty.
   std::string flight_json;
-  std::shared_ptr<obs::Observability> obs;  ///< the live measurement layer
   // Populated only when BenchConfig::fault_plan was non-empty.
   std::size_t task_remaps = 0;   ///< tasks migrated off a failed device
   std::size_t task_replays = 0;  ///< producers re-run to rebuild lost tiles

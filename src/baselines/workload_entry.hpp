@@ -9,23 +9,15 @@
 
 namespace xkb::baselines {
 
-/// The workload analogue of BenchConfig (no routine/n/tile: the graph
-/// carries its own shape and costs).
-struct WorkloadBenchConfig {
-  bool data_on_device = false;  ///< pre-place inputs on their consumers
-  topo::Topology topology = topo::Topology::dgx1();
-  rt::PerfModel perf;
-  std::size_t device_capacity = 32ull << 30;
-  int kernel_streams = 2;
-  check::CheckConfig check;
-  obs::ObsConfig obs;
-  fault::FaultPlan fault_plan;
-};
+/// The workload analogue of BenchConfig: no routine/n/tile, the graph
+/// carries its own shape and costs (data-on-device pre-places inputs on
+/// their consumers).
+using WorkloadBenchConfig = RunConfig;
 
-/// Run `graph` under `spec`: platform + runtime configured exactly as
+/// Run `graph` under `spec` through the same run_plan skeleton as
 /// run_with_spec, the graph bridged through wl::Bridge, results captured
-/// into the same BenchResult (transfers, check verdict, metrics JSON,
-/// fault counters).
+/// into the same BenchResult (transfers, check verdict, obs pieces, fault
+/// counters).
 BenchResult run_workload(const ModelSpec& spec, const wl::WorkloadGraph& graph,
                          const WorkloadBenchConfig& cfg);
 

@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "obs/provenance.hpp"
@@ -18,23 +17,6 @@ const char* to_string(FlightEntry::Kind k) {
     case FlightEntry::Kind::kFault: return "fault";
   }
   return "?";
-}
-
-void FlightRecorder::note(sim::Time t, FlightEntry::Kind kind, int a, int b,
-                          std::uint64_t handle, std::size_t bytes,
-                          const char* tag) {
-  FlightEntry e;
-  e.t = t;
-  e.kind = kind;
-  e.a = a;
-  e.b = b;
-  e.handle = handle;
-  e.bytes = bytes;
-  if (tag) {
-    std::strncpy(e.tag, tag, FlightEntry::kTagLen - 1);
-    e.tag[FlightEntry::kTagLen - 1] = '\0';
-  }
-  record(e);
 }
 
 std::vector<FlightEntry> FlightRecorder::timeline() const {

@@ -52,14 +52,23 @@ class FlightRecorder {
   }
 
   /// Push one entry, overwriting the oldest once the ring is full.
-  void record(const FlightEntry& e) {
-    ring_[static_cast<std::size_t>(total_ % cap_)] = e;
-    ++total_;
-  }
+  void record(const FlightEntry& e) { next_slot() = e; }
 
   /// Convenience: build the entry in place (tag truncated to kTagLen-1).
   void note(sim::Time t, FlightEntry::Kind kind, int a, int b,
-            std::uint64_t handle, std::size_t bytes, const char* tag);
+            std::uint64_t handle, std::size_t bytes, const char* tag) {
+    FlightEntry& e = next_slot();
+    e.t = t;
+    e.kind = kind;
+    e.a = a;
+    e.b = b;
+    e.handle = handle;
+    e.bytes = bytes;
+    std::size_t i = 0;
+    if (tag)
+      for (; i + 1 < FlightEntry::kTagLen && tag[i]; ++i) e.tag[i] = tag[i];
+    e.tag[i] = '\0';
+  }
 
   std::uint64_t total() const { return total_; }
   std::size_t capacity() const { return cap_; }
@@ -70,7 +79,10 @@ class FlightRecorder {
   /// Retained entries, oldest first.
   std::vector<FlightEntry> timeline() const;
 
-  void clear() { total_ = 0; }
+  void clear() {
+    total_ = 0;
+    head_ = 0;
+  }
 
   /// The dump artifact (schema xkb.obs.flight/1): reason, drop stats, the
   /// last-N timeline, and the caller-built ledger snapshot embedded
@@ -79,8 +91,17 @@ class FlightRecorder {
                         const std::string& ledger_snapshot_json) const;
 
  private:
+  /// The slot the next entry overwrites; advances the ring.
+  FlightEntry& next_slot() {
+    FlightEntry& e = ring_[head_];
+    if (++head_ == cap_) head_ = 0;
+    ++total_;
+    return e;
+  }
+
   std::size_t cap_;
   std::uint64_t total_ = 0;
+  std::size_t head_ = 0;  ///< == total_ % cap_
   std::vector<FlightEntry> ring_;
 };
 

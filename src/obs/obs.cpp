@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 namespace xkb::obs {
 
@@ -17,7 +16,6 @@ const char* to_string(Pick p) {
 
 Observability::Observability(int num_gpus)
     : gpus_(num_gpus),
-      per_gpu_(static_cast<std::size_t>(num_gpus)),
       ready_(static_cast<std::size_t>(num_gpus), nullptr),
       hits_(static_cast<std::size_t>(num_gpus), 0),
       misses_(static_cast<std::size_t>(num_gpus), 0),
@@ -35,8 +33,6 @@ sim::UsageProbe* Observability::make_link_probe(std::string name,
 
 void Observability::on_kernel(int dev, const std::string& label,
                               sim::Interval iv) {
-  all_.kernel += iv.duration();
-  per_gpu_[static_cast<std::size_t>(dev)].kernel += iv.duration();
   if (iv.end > last_event_) last_event_ = iv.end;
   flight_.note(iv.end, FlightEntry::Kind::kKernel, dev, -1, 0, 0,
                label.c_str());
@@ -65,7 +61,7 @@ void Observability::on_wait(std::uint64_t handle, int src, int dst,
     ++forced_waits_;
   else
     ++opt_waits_;
-  pending_wait_[rx_key(handle, dst)] = forced;
+  rx_[RxKey{handle, dst}].wait = forced ? 1 : 0;
   flight_.note(last_event_, FlightEntry::Kind::kWait, src, dst, handle, 0,
                forced ? "forced" : "optimistic");
 }
@@ -97,7 +93,6 @@ void Observability::count_fault(const std::string& what, double n) {
 void Observability::on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
                                 sim::Interval iv, std::size_t bytes,
                                 bool chained) {
-  const double dur = iv.duration();
   if (iv.end > last_event_) last_event_ = iv.end;
   {
     const char* tag = k == Xfer::kH2D ? "h2d" : k == Xfer::kD2D ? "d2d"
@@ -108,58 +103,27 @@ void Observability::on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
                                                            : tag)
                                         : tag);
   }
-  switch (k) {
-    case Xfer::kH2D: {
-      auto& g = per_gpu_[static_cast<std::size_t>(dst)];
-      all_.htod += dur;
-      all_.htod_bytes += bytes;
-      ++all_.h2d;
-      g.htod += dur;
-      g.htod_bytes += bytes;
-      ++g.h2d;
-      pending_rx_[rx_key(handle, dst)] = PendingRx{1, iv};
-      break;
+  if (k == Xfer::kD2H) return;
+  RxState& to = rx_[RxKey{handle, dst}];
+  if (k == Xfer::kD2D && chained) {
+    // This copy is the forwarding leg of a wait: connect it back to the
+    // reception it chained off (still the most recent rx on `src`).
+    auto from = rx_.find(RxKey{handle, src});
+    if (from != rx_.end() && from->second.tid) {
+      Flow f;
+      f.handle = handle;
+      f.src_dev = src;
+      f.dst_dev = dst;
+      f.src_tid = from->second.tid;
+      f.src_iv = from->second.iv;
+      f.dst_iv = iv;
+      f.forced = to.wait == 1;
+      flows_.push_back(f);
     }
-    case Xfer::kD2D: {
-      auto& g = per_gpu_[static_cast<std::size_t>(dst)];
-      all_.ptop += dur;
-      all_.ptop_bytes += bytes;
-      ++all_.d2d;
-      g.ptop += dur;
-      g.ptop_bytes += bytes;
-      ++g.d2d;
-      if (chained) {
-        // This copy is the forwarding leg of a wait: connect it back to the
-        // reception it chained off (still the most recent rx on `src`).
-        auto rx = pending_rx_.find(rx_key(handle, src));
-        auto w = pending_wait_.find(rx_key(handle, dst));
-        if (rx != pending_rx_.end()) {
-          Flow f;
-          f.handle = handle;
-          f.src_dev = src;
-          f.dst_dev = dst;
-          f.src_tid = rx->second.tid;
-          f.src_iv = rx->second.iv;
-          f.dst_iv = iv;
-          f.forced = w != pending_wait_.end() && w->second;
-          flows_.push_back(f);
-        }
-        if (w != pending_wait_.end()) pending_wait_.erase(w);
-      }
-      pending_rx_[rx_key(handle, dst)] = PendingRx{3, iv};
-      break;
-    }
-    case Xfer::kD2H: {
-      auto& g = per_gpu_[static_cast<std::size_t>(src)];
-      all_.dtoh += dur;
-      all_.dtoh_bytes += bytes;
-      ++all_.d2h;
-      g.dtoh += dur;
-      g.dtoh_bytes += bytes;
-      ++g.d2h;
-      break;
-    }
+    to.wait = -1;
   }
+  to.tid = k == Xfer::kH2D ? 1 : 3;
+  to.iv = iv;
 }
 
 Series* Observability::ready_series(int dev) {
@@ -182,8 +146,6 @@ void Observability::clear() {
   flows_.clear();
   fault_marks_.clear();
   fault_counts_.clear();
-  all_ = OpTotals{};
-  for (auto& g : per_gpu_) g = OpTotals{};
   std::fill(hits_.begin(), hits_.end(), 0);
   std::fill(misses_.begin(), misses_.end(), 0);
   std::fill(inflight_hits_.begin(), inflight_hits_.end(), 0);
@@ -191,8 +153,7 @@ void Observability::clear() {
   std::fill(evict_dirty_.begin(), evict_dirty_.end(), 0);
   opt_waits_ = forced_waits_ = 0;
   last_event_ = 0.0;
-  pending_rx_.clear();
-  pending_wait_.clear();
+  rx_.clear();
   flight_.clear();
   flight_dump_.clear();
   reg_.reset_values();
@@ -200,18 +161,44 @@ void Observability::clear() {
 
 void Observability::finalize_registry() {
   auto set = [this](const std::string& k, double v) { reg_.counter(k) = v; };
-  set("transfers.h2d", static_cast<double>(all_.h2d));
-  set("transfers.d2d", static_cast<double>(all_.d2d));
-  set("transfers.d2h", static_cast<double>(all_.d2h));
+  if (trace_) {
+    // One pass, summing in record order like trace::Trace::breakdown.
+    trace::Breakdown all;
+    std::vector<trace::Breakdown> per(static_cast<std::size_t>(gpus_));
+    std::size_t count[4] = {}, bytes[4] = {};  // indexed by OpKind
+    for (const trace::Record& r : trace_->records()) {
+      const double d = r.end - r.start;
+      all.add(r.kind, d);
+      per[static_cast<std::size_t>(r.device)].add(r.kind, d);
+      const auto k = static_cast<std::size_t>(r.kind);
+      ++count[k];
+      bytes[k] += r.bytes;
+    }
+    auto num = [](std::size_t v) { return static_cast<double>(v); };
+    constexpr auto kH = static_cast<std::size_t>(trace::OpKind::kHtoD);
+    constexpr auto kD = static_cast<std::size_t>(trace::OpKind::kDtoH);
+    constexpr auto kP = static_cast<std::size_t>(trace::OpKind::kPtoP);
+    set("transfers.h2d", num(count[kH]));
+    set("transfers.d2d", num(count[kP]));
+    set("transfers.d2h", num(count[kD]));
+    set("time.kernel", all.kernel);
+    set("time.htod", all.htod);
+    set("time.dtoh", all.dtoh);
+    set("time.ptop", all.ptop);
+    set("bytes.htod", num(bytes[kH]));
+    set("bytes.dtoh", num(bytes[kD]));
+    set("bytes.ptop", num(bytes[kP]));
+    for (int g = 0; g < gpus_; ++g) {
+      const std::string p = "gpu" + std::to_string(g) + ".time.";
+      const trace::Breakdown& t = per[static_cast<std::size_t>(g)];
+      set(p + "kernel", t.kernel);
+      set(p + "htod", t.htod);
+      set(p + "dtoh", t.dtoh);
+      set(p + "ptop", t.ptop);
+    }
+  }
   set("waits.optimistic", static_cast<double>(opt_waits_));
   set("waits.forced", static_cast<double>(forced_waits_));
-  set("time.kernel", all_.kernel);
-  set("time.htod", all_.htod);
-  set("time.dtoh", all_.dtoh);
-  set("time.ptop", all_.ptop);
-  set("bytes.htod", static_cast<double>(all_.htod_bytes));
-  set("bytes.dtoh", static_cast<double>(all_.dtoh_bytes));
-  set("bytes.ptop", static_cast<double>(all_.ptop_bytes));
   set("decisions", static_cast<double>(decisions_.size()));
   set("flows", static_cast<double>(flows_.size()));
   for (const auto& kv : fault_counts_) set("fault." + kv.first, kv.second);
@@ -224,11 +211,6 @@ void Observability::finalize_registry() {
     ec += evict_clean_[d];
     ed += evict_dirty_[d];
     const std::string p = "gpu" + std::to_string(g) + ".";
-    const OpTotals& t = per_gpu_[d];
-    set(p + "time.kernel", t.kernel);
-    set(p + "time.htod", t.htod);
-    set(p + "time.dtoh", t.dtoh);
-    set(p + "time.ptop", t.ptop);
     set(p + "cache.hits", static_cast<double>(hits_[d]));
     set(p + "cache.misses", static_cast<double>(misses_[d]));
     set(p + "cache.inflight_hits", static_cast<double>(inflight_hits_[d]));
@@ -246,43 +228,6 @@ void Observability::finalize_registry() {
     set("link." + l->name() + ".ops", static_cast<double>(l->ops()));
   }
   reg_.set_gauge("span", span());
-}
-
-std::vector<std::string> Observability::reconcile(
-    const ReconcileView& v) const {
-  std::vector<std::string> out;
-  auto chk_u = [&out](const char* what, std::size_t obs, std::size_t other) {
-    if (obs != other) {
-      std::ostringstream os;
-      os << "obs reconcile: " << what << " observed " << obs
-         << " != runtime " << other;
-      out.push_back(os.str());
-    }
-  };
-  auto chk_t = [&out](const char* what, double obs, double other) {
-    const double tol = 1e-9 * (1.0 + (obs > other ? obs : other));
-    const double diff = obs > other ? obs - other : other - obs;
-    if (diff > tol) {
-      std::ostringstream os;
-      os.precision(17);
-      os << "obs reconcile: " << what << " observed " << obs
-         << " != trace " << other;
-      out.push_back(os.str());
-    }
-  };
-  chk_u("h2d transfer count", all_.h2d, v.h2d);
-  chk_u("d2h transfer count", all_.d2h, v.d2h);
-  chk_u("d2d transfer count", all_.d2d, v.d2d);
-  chk_u("optimistic waits", opt_waits_, v.optimistic_waits);
-  chk_u("forced waits", forced_waits_, v.forced_waits);
-  chk_u("htod bytes", all_.htod_bytes, v.htod_bytes);
-  chk_u("dtoh bytes", all_.dtoh_bytes, v.dtoh_bytes);
-  chk_u("ptop bytes", all_.ptop_bytes, v.ptop_bytes);
-  chk_t("htod time", all_.htod, v.htod);
-  chk_t("dtoh time", all_.dtoh, v.dtoh);
-  chk_t("ptop time", all_.ptop, v.ptop);
-  chk_t("kernel time", all_.kernel, v.kernel);
-  return out;
 }
 
 }  // namespace xkb::obs

@@ -10,11 +10,20 @@
 // simulator with zero overhead when detached (one null-pointer test per
 // observation point, same contract as the checker).
 //
+// One record per fact: the platform's trace::Trace is the only record of
+// transfers and kernels.  This layer keeps only what the trace lacks --
+// source decisions, waits and the forwarding flows they chain, link probes
+// (which also see the shadow host-link occupancy of cross-switch peer
+// copies), fault marks, cache references, evictions and the flight ring --
+// and derives the transfer/time/byte counters from the trace when the
+// registry is finalized.
+//
 // Ownership: an Observability instance is created by the driver (bench
 // skeleton, CLI, test) and attached to the Platform *before* the Runtime is
 // constructed (the runtime caches series pointers for per-event queue-depth
-// sampling).  It depends only on sim/topo/trace -- never on runtime -- so
-// every layer above can feed it events.
+// sampling); attaching also hands it the platform's trace.  It depends only
+// on sim/topo/trace -- never on runtime -- so every layer above can feed it
+// events.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +39,7 @@
 #include "obs/probes.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
+#include "trace/trace.hpp"
 
 namespace xkb::obs {
 
@@ -105,14 +115,6 @@ struct Flow {
   sim::Interval dst_iv;  ///< the forwarded D2D copy
 };
 
-/// Virtual-time op totals by class, mirroring trace::Breakdown / the
-/// TransferStats counters so the two accounting paths can be reconciled.
-struct OpTotals {
-  double htod = 0.0, dtoh = 0.0, ptop = 0.0, kernel = 0.0;
-  std::size_t htod_bytes = 0, dtoh_bytes = 0, ptop_bytes = 0;
-  std::size_t h2d = 0, d2h = 0, d2d = 0;  ///< transfer counts
-};
-
 class Observability {
  public:
   explicit Observability(int num_gpus);
@@ -178,10 +180,6 @@ class Observability {
   const std::vector<Decision>& decisions() const { return decisions_; }
   const std::vector<Flow>& flows() const { return flows_; }
   const std::vector<FaultMark>& fault_marks() const { return fault_marks_; }
-  const OpTotals& totals() const { return all_; }
-  /// Per-device totals with the trace's attribution: HtoD/PtoP to the
-  /// receiving device, DtoH to the source device, kernels to theirs.
-  const OpTotals& totals(int dev) const { return per_gpu_[dev]; }
   /// Latest virtual time observed by any hook or probe.
   sim::Time span() const;
 
@@ -189,22 +187,18 @@ class Observability {
   /// pointers stay valid).  Called where multi-phase runs clear the trace.
   void clear();
 
+  /// The trace the transfer/time/byte counters are derived from; set by
+  /// Platform::set_obs.  Detach (null) before the trace's owner dies: the
+  /// derived counters then keep the values of the last finalize.
+  void set_trace(const trace::Trace* tr) { trace_ = tr; }
+
   /// Fold the measured values into the registry under canonical names
   /// (transfers.*, waits.*, cache.*, evict.*, time.*, bytes.*, link.*,
-  /// gpu<g>.*).  Idempotent; call before exporting the registry.
+  /// gpu<g>.*).  transfers.*, time.*, bytes.* and gpu<g>.time.* come from
+  /// one pass over the attached trace, attributed like the trace: HtoD and
+  /// PtoP to the receiving device, DtoH to the source, kernels to theirs.
+  /// Idempotent; call before exporting the registry.
   void finalize_registry();
-
-  /// Independently maintained runtime counters, for cross-validation.
-  struct ReconcileView {
-    std::size_t h2d = 0, d2h = 0, d2d = 0;
-    std::size_t optimistic_waits = 0, forced_waits = 0;
-    double htod = 0.0, dtoh = 0.0, ptop = 0.0, kernel = 0.0;
-    std::size_t htod_bytes = 0, dtoh_bytes = 0, ptop_bytes = 0;
-  };
-  /// Compare the observed event stream against `v` (TransferStats +
-  /// Trace::breakdown/bytes); one message per mismatch, empty when the two
-  /// accounting paths agree.  Run under --check this becomes a violation.
-  std::vector<std::string> reconcile(const ReconcileView& v) const;
 
  private:
   int gpus_;
@@ -214,9 +208,8 @@ class Observability {
   std::vector<Flow> flows_;
   std::vector<FaultMark> fault_marks_;
   std::vector<std::pair<std::string, double>> fault_counts_;  // insertion order
-  OpTotals all_;
-  std::vector<OpTotals> per_gpu_;
   std::vector<Series*> ready_;  ///< cached "ready.gpu<g>" series
+  const trace::Trace* trace_ = nullptr;
 
   FlightRecorder flight_;
   std::string flight_dump_;
@@ -227,18 +220,27 @@ class Observability {
   std::uint64_t opt_waits_ = 0, forced_waits_ = 0;
   sim::Time last_event_ = 0.0;
 
-  /// Last reception per (handle, device) + pending wait flags, for flow
-  /// reconstruction.  Key packs the device into the handle id's low bits.
-  struct PendingRx {
-    int tid = 1;
-    sim::Interval iv;
+  /// Per (handle, device): the last reception into it and the wait that
+  /// will forward a copy to it, for flow reconstruction.  The key keeps
+  /// both fields whole, so no two (handle, device) pairs share one,
+  /// whatever the device count.
+  struct RxKey {
+    std::uint64_t handle = 0;
+    int dev = 0;
+    bool operator==(const RxKey&) const = default;
   };
-  static std::uint64_t rx_key(std::uint64_t handle, int dev) {
-    return (handle << 8) | static_cast<std::uint64_t>(dev);
-  }
-  std::unordered_map<std::uint64_t, PendingRx> pending_rx_;
-  /// (handle, dst) -> forced flag of the wait that will chain to dst.
-  std::unordered_map<std::uint64_t, bool> pending_wait_;
+  struct RxKeyHash {
+    std::size_t operator()(const RxKey& k) const {
+      return static_cast<std::size_t>(k.handle * 0x9E3779B97F4A7C15ull ^
+                                      static_cast<std::uint64_t>(k.dev));
+    }
+  };
+  struct RxState {
+    int tid = 0;  ///< Chrome sub-track of the last reception; 0 = none yet
+    sim::Interval iv;
+    std::int8_t wait = -1;  ///< pending wait: -1 none, 0 optimistic, 1 forced
+  };
+  std::unordered_map<RxKey, RxState, RxKeyHash> rx_;
 };
 
 }  // namespace xkb::obs

@@ -156,11 +156,24 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
     }
     d.picked_dev = s.dev;
     d.forced = s.forced;
+    // Valid replicas first, then the other in-flight receptions, each in
+    // ascending device order; counted first so the list allocates once.
     const auto& topo = plat_->topology();
-    for (int g : h->valid_devices())
-      d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), false});
-    for (int g : h->inflight_devices())
-      if (g != dev) d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), true});
+    auto valid = [](const mem::Replica& rep) {
+      return rep.state == mem::ReplicaState::kValid;
+    };
+    auto inflight = [dev](int g, const mem::Replica& rep) {
+      return g != dev && rep.state == mem::ReplicaState::kInFlight;
+    };
+    std::size_t n = 0;
+    for (const auto& [g, rep] : h->dev) n += valid(rep) || inflight(g, rep);
+    d.candidates.reserve(n);
+    for (const auto& [g, rep] : h->dev)
+      if (valid(rep))
+        d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), false});
+    for (const auto& [g, rep] : h->dev)
+      if (inflight(g, rep))
+        d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), true});
     o->on_decision(std::move(d));
   }
   if (check::Checker* c = plat_->checker()) {

@@ -55,7 +55,9 @@ Platform::Platform(topo::Topology topo, PerfModel perf, PlatformOptions opt)
 }
 
 void Platform::set_obs(obs::Observability* o) {
+  if (obs_) obs_->set_trace(nullptr);
   obs_ = o;
+  if (o) o->set_trace(&trace_);
   for (int l = 0; l < topo_.num_host_links(); ++l) {
     if (!h2d_[l]) continue;
     h2d_[l]->set_probe(o ? o->make_link_probe("h2d" + std::to_string(l),

@@ -67,10 +67,12 @@ class Platform {
   void set_checker(check::Checker* c) { checker_ = c; }
   check::Checker* checker() const { return checker_; }
 
-  /// Attach/detach the observability layer: registers a link-utilization
-  /// probe on every directed channel (host links per direction, every peer
-  /// channel, the host worker).  Must run before the Runtime is constructed
-  /// (it caches registry series pointers); null detaches all probes.
+  /// Attach/detach the observability layer: hands it this platform's
+  /// trace (the record its transfer/time counters derive from) and
+  /// registers a link-utilization probe on every directed channel (host
+  /// links per direction, every peer channel, the host worker).  Must run
+  /// before the Runtime is constructed (it caches registry series
+  /// pointers); null detaches the trace and all probes.
   void set_obs(obs::Observability* o);
   obs::Observability* obs() const { return obs_; }
 

@@ -74,8 +74,10 @@ Runtime::Runtime(Platform& plat, std::unique_ptr<Scheduler> sched,
   }
   if (obs::Observability* o = plat_->obs()) {
     ready_series_.reserve(static_cast<std::size_t>(plat.num_gpus()));
-    for (int g = 0; g < plat.num_gpus(); ++g)
+    for (int g = 0; g < plat.num_gpus(); ++g) {
       ready_series_.push_back(o->ready_series(g));
+      mark_ready_dirty(g);
+    }
   }
   if (fault::Injector* f = plat_->fault()) {
     fault::Injector::Hooks hk;
@@ -225,6 +227,7 @@ void Runtime::on_ready(Task* t) {
 
 void Runtime::queue_changed(int g) {
   DevState& ds = devs_[g];
+  if (!ready_series_.empty()) mark_ready_dirty(g);
   const bool queued = !ds.assigned.empty();
   if (queued != ds.in_queued) {
     if (queued)
@@ -257,12 +260,29 @@ void Runtime::fill_all() {
     const std::vector<int> snapshot(queued_.begin(), queued_.end());
     for (int g : snapshot) fill(g);
   }
-  if (!ready_series_.empty()) {
-    const sim::Time now = plat_->engine().now();
-    for (int g = 0; g < num_gpus(); ++g)
-      ready_series_[g]->sample(now,
-                               static_cast<double>(devs_[g].assigned.size()));
+  if (!ready_series_.empty()) sample_ready();
+}
+
+void Runtime::mark_ready_dirty(int g) {
+  DevState& ds = devs_[g];
+  if (ds.ready_dirty) return;
+  ds.ready_dirty = true;
+  ready_dirty_.push_back(g);
+}
+
+void Runtime::sample_ready() {
+  // Construction marks every device, so the first call samples them all;
+  // empty series later mean the obs layer was cleared between phases, and
+  // each device needs its first point again.
+  if (ready_series_.front()->empty())
+    for (int g = 0; g < num_gpus(); ++g) mark_ready_dirty(g);
+  const sim::Time now = plat_->engine().now();
+  for (int g : ready_dirty_) {
+    DevState& ds = devs_[g];
+    ready_series_[g]->sample(now, static_cast<double>(ds.assigned.size()));
+    ds.ready_dirty = false;
   }
+  ready_dirty_.clear();
 }
 
 void Runtime::fill(int dev) {

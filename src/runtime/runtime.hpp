@@ -138,6 +138,7 @@ class Runtime {
     int preparing = 0;
     bool in_queued = false;       ///< membership in Runtime::queued_
     bool steal_eligible = false;  ///< counted in Runtime::steal_eligible_
+    bool ready_dirty = false;     ///< listed in Runtime::ready_dirty_
   };
   struct HandleSeq {
     Task* last_writer = nullptr;
@@ -155,6 +156,9 @@ class Runtime {
   /// devs_[g].assigned.  Every push/pop site calls this so fill_all can walk
   /// only devices that can actually start work (O(active), not O(devices)).
   void queue_changed(int g);
+  /// Sample the ready-queue depth of every device listed in ready_dirty_.
+  void sample_ready();
+  void mark_ready_dirty(int g);
   Task* steal_for(int thief);
   void start_prepare(Task* t, int dev);
   void on_operands_ready(Task* t);
@@ -193,6 +197,10 @@ class Runtime {
   /// Cached "ready.gpu<g>" series when an Observability layer was attached
   /// to the platform before construction; empty otherwise.
   std::vector<obs::Series*> ready_series_;
+  /// Devices whose queue changed since their last sample.  A Series drops
+  /// a repeated value, so sampling only these records exactly the points
+  /// that sampling every device on every fill_all would.
+  std::vector<int> ready_dirty_;
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
   std::size_t steals_ = 0;

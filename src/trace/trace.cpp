@@ -36,19 +36,28 @@ void Trace::clear() {
   max_device_ = -1;
 }
 
+void Breakdown::add(OpKind k, double seconds) {
+  switch (k) {
+    case OpKind::kHtoD: htod += seconds; break;
+    case OpKind::kDtoH: dtoh += seconds; break;
+    case OpKind::kPtoP: ptop += seconds; break;
+    case OpKind::kKernel: kernel += seconds; break;
+  }
+}
+
 Breakdown Trace::breakdown(int device) const {
   Breakdown b;
-  for (const Record& r : records_) {
-    if (device >= 0 && r.device != device) continue;
-    const double d = r.end - r.start;
-    switch (r.kind) {
-      case OpKind::kHtoD: b.htod += d; break;
-      case OpKind::kDtoH: b.dtoh += d; break;
-      case OpKind::kPtoP: b.ptop += d; break;
-      case OpKind::kKernel: b.kernel += d; break;
-    }
-  }
+  for (const Record& r : records_)
+    if (device < 0 || r.device == device) b.add(r.kind, r.end - r.start);
   return b;
+}
+
+std::vector<Breakdown> Trace::breakdowns(int devices) const {
+  std::vector<Breakdown> out(static_cast<std::size_t>(devices));
+  for (const Record& r : records_)
+    if (r.device >= 0 && r.device < devices)
+      out[static_cast<std::size_t>(r.device)].add(r.kind, r.end - r.start);
+  return out;
 }
 
 sim::Time Trace::span() const {

@@ -38,6 +38,8 @@ struct Record {
 /// Per-class time totals ("cumulative execution time" of Fig. 6).
 struct Breakdown {
   double htod = 0.0, dtoh = 0.0, ptop = 0.0, kernel = 0.0;
+  /// Charge `seconds` to the class of `k`.
+  void add(OpKind k, double seconds);
   double total() const { return htod + dtoh + ptop + kernel; }
   double transfers() const { return htod + dtoh + ptop; }
 };
@@ -53,6 +55,9 @@ class Trace {
 
   /// Sum of operation durations by class; device == -1 sums over all GPUs.
   Breakdown breakdown(int device = -1) const;
+
+  /// breakdown(g) for every g in [0, devices), in one pass.
+  std::vector<Breakdown> breakdowns(int devices) const;
 
   /// Latest end time over all records (the makespan of the traced region).
   sim::Time span() const;

@@ -333,24 +333,53 @@ TEST(ObservedRun, FlowsMatchWaitCountsAndTotalsMatchTrace) {
     EXPECT_GE(f.dst_iv.start, f.src_iv.end - 1e-12);  // chained after rx
     EXPECT_NE(f.src_dev, f.dst_dev);
   }
-  // The observed event stream reconciles with the runtime's own counters
-  // and the trace breakdown.
-  Observability::ReconcileView v;
-  v.h2d = r.stats.h2d;
-  v.d2h = r.stats.d2h;
-  v.d2d = r.stats.d2d;
-  v.optimistic_waits = r.stats.optimistic_waits;
-  v.forced_waits = r.stats.forced_waits;
-  const trace::Breakdown b = r.plat.trace().breakdown();
-  v.htod = b.htod;
-  v.dtoh = b.dtoh;
-  v.ptop = b.ptop;
-  v.kernel = b.kernel;
-  v.htod_bytes = r.plat.trace().bytes(trace::OpKind::kHtoD);
-  v.dtoh_bytes = r.plat.trace().bytes(trace::OpKind::kDtoH);
-  v.ptop_bytes = r.plat.trace().bytes(trace::OpKind::kPtoP);
-  const std::vector<std::string> bad = r.o.reconcile(v);
-  EXPECT_TRUE(bad.empty()) << bad.front();
+  // The registry's derived counters equal the runtime's own counters and
+  // the trace's sums exactly: they are views of the one record.
+  const MetricsRegistry& m = r.o.metrics();
+  EXPECT_EQ(static_cast<double>(r.stats.h2d), m.counter_value("transfers.h2d"));
+  EXPECT_EQ(static_cast<double>(r.stats.d2d), m.counter_value("transfers.d2d"));
+  EXPECT_EQ(static_cast<double>(r.stats.d2h), m.counter_value("transfers.d2h"));
+  EXPECT_EQ(static_cast<double>(r.stats.optimistic_waits),
+            m.counter_value("waits.optimistic"));
+  EXPECT_EQ(static_cast<double>(r.stats.forced_waits),
+            m.counter_value("waits.forced"));
+  const trace::Trace& tr = r.plat.trace();
+  const trace::Breakdown b = tr.breakdown();
+  EXPECT_EQ(b.kernel, m.counter_value("time.kernel"));
+  EXPECT_EQ(b.htod, m.counter_value("time.htod"));
+  EXPECT_EQ(b.dtoh, m.counter_value("time.dtoh"));
+  EXPECT_EQ(b.ptop, m.counter_value("time.ptop"));
+  EXPECT_EQ(static_cast<double>(tr.bytes(trace::OpKind::kHtoD)),
+            m.counter_value("bytes.htod"));
+  EXPECT_EQ(static_cast<double>(tr.bytes(trace::OpKind::kDtoH)),
+            m.counter_value("bytes.dtoh"));
+  EXPECT_EQ(static_cast<double>(tr.bytes(trace::OpKind::kPtoP)),
+            m.counter_value("bytes.ptop"));
+  const std::vector<trace::Breakdown> per = tr.breakdowns(r.plat.num_gpus());
+  for (int g = 0; g < r.plat.num_gpus(); ++g) {
+    const std::string p = "gpu" + std::to_string(g) + ".time.";
+    EXPECT_EQ(tr.breakdown(g).kernel, per[static_cast<std::size_t>(g)].kernel);
+    EXPECT_EQ(per[static_cast<std::size_t>(g)].kernel,
+              m.counter_value(p + "kernel"));
+    EXPECT_EQ(per[static_cast<std::size_t>(g)].ptop,
+              m.counter_value(p + "ptop"));
+  }
+}
+
+TEST(Flows, ReceptionKeysDoNotAliasAcrossWideDeviceIds) {
+  // Device 256 and device 0 must keep separate receptions: a chained D2D
+  // off gpu0 connects to gpu0's reception, not to gpu256's later one.
+  Observability o(300);
+  o.on_transfer(Xfer::kH2D, 1, -1, 0, sim::Interval{0.0, 1.0}, 64, false);
+  o.on_transfer(Xfer::kH2D, 1, -1, 256, sim::Interval{5.0, 6.0}, 64, false);
+  o.on_wait(1, 0, 7, /*forced=*/false);
+  o.on_transfer(Xfer::kD2D, 1, 0, 7, sim::Interval{1.0, 2.0}, 64, true);
+  ASSERT_EQ(1u, o.flows().size());
+  const Flow& f = o.flows().front();
+  EXPECT_EQ(0, f.src_dev);
+  EXPECT_EQ(7, f.dst_dev);
+  EXPECT_EQ(0.0, f.src_iv.start);
+  EXPECT_EQ(1.0, f.src_iv.end);
 }
 
 TEST(ObservedRun, DecisionsCoverEveryMissAndRegistryNamesExist) {
@@ -491,26 +520,38 @@ TEST(Export, HostileLabelsRoundTripThroughCsv) {
 
 // ----------------------------------------------------- bench-config plumbing
 
-TEST(BenchObs, ModelRunPopulatesMetricsJsonAndReconcilesUnderCheck) {
+TEST(BenchObs, ModelRunKeepsTheArtifactInputs) {
   baselines::BenchConfig cfg;
   cfg.routine = Blas3::kGemm;
   cfg.n = 4096;
   cfg.tile = 512;
-  cfg.check.enabled = true;  // reconciliation becomes a checker violation
+  cfg.check.enabled = true;
   cfg.obs.enabled = true;
   auto model = baselines::make_xkblas(rt::HeuristicConfig::xkblas());
-  const baselines::BenchResult r = model->run(cfg);
+  baselines::BenchResult r = model->run(cfg);
   ASSERT_FALSE(r.failed);
   EXPECT_TRUE(r.check_ok) << r.check_report;
   ASSERT_TRUE(r.obs);
-  ASSERT_FALSE(r.metrics_json.empty());
-  EXPECT_NE(std::string::npos, r.metrics_json.find("\"critical_path\""));
-  EXPECT_NE(std::string::npos, r.metrics_json.find("\"metrics\""));
-  EXPECT_NE(std::string::npos, r.metrics_json.find("\"links\""));
-  // Registry totals agree with the result's trace-derived breakdown.
-  EXPECT_NEAR(r.breakdown.kernel,
-              r.obs->metrics().counter_value("time.kernel"),
-              1e-9 * (1.0 + r.breakdown.kernel));
+  ASSERT_TRUE(r.topology);
+  ASSERT_FALSE(r.trace.records().empty());
+  EXPECT_EQ(r.breakdown.kernel, r.trace.breakdown().kernel);
+  EXPECT_EQ("XKBlas", r.obs->ledger_meta().lib);
+  // The retained instance is detached from the dead platform: finalizing
+  // again keeps the counters derived while the trace was attached.
+  const double kernel = r.obs->metrics().counter_value("time.kernel");
+  EXPECT_EQ(r.breakdown.kernel, kernel);
+  r.obs->finalize_registry();
+  EXPECT_EQ(kernel, r.obs->metrics().counter_value("time.kernel"));
+  // Artifacts build from the retained pieces on request.
+  const std::string j = report_json(
+      build_report(r.trace, *r.topology, r.obs.get()), r.obs.get());
+  EXPECT_NE(std::string::npos, j.find("\"critical_path\""));
+  EXPECT_NE(std::string::npos, j.find("\"metrics\""));
+  EXPECT_NE(std::string::npos, j.find("\"links\""));
+  const RunLedger l = build_ledger(r.trace, *r.topology, r.obs.get(),
+                                   r.event_hash, r.obs->ledger_meta());
+  EXPECT_EQ(r.event_hash, l.event_hash);
+  EXPECT_EQ(r.obs->decisions().size(), l.decisions.size());
 }
 
 TEST(BenchObs, DisabledObsLeavesResultEmpty) {
@@ -522,7 +563,8 @@ TEST(BenchObs, DisabledObsLeavesResultEmpty) {
   const baselines::BenchResult r = model->run(cfg);
   ASSERT_FALSE(r.failed);
   EXPECT_FALSE(r.obs);
-  EXPECT_TRUE(r.metrics_json.empty());
+  EXPECT_FALSE(r.topology);
+  EXPECT_TRUE(r.trace.records().empty());
 }
 
 }  // namespace

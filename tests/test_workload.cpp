@@ -9,6 +9,8 @@
 
 #include "baselines/composition.hpp"
 #include "baselines/workload_entry.hpp"
+#include "obs/report.hpp"
+#include "util/json.hpp"
 #include "workload/bridge.hpp"
 #include "workload/workload.hpp"
 
@@ -235,7 +237,7 @@ TEST(Bridge, WorkloadsRunCleanUnderCheckInBothPlacements) {
   }
 }
 
-TEST(Bridge, ObsMetricsReconcileForWorkloads) {
+TEST(Bridge, ObsArtifactsBuildForWorkloads) {
   const WorkloadGraph g = build(spec_of("stencil_1d:width=8,depth=6"));
   WorkloadBenchConfig cfg;
   cfg.check.enabled = true;
@@ -243,9 +245,37 @@ TEST(Bridge, ObsMetricsReconcileForWorkloads) {
   const BenchResult r = run_workload(
       spec_for_library("xkblas", rt::HeuristicConfig::xkblas()), g, cfg);
   EXPECT_FALSE(r.failed) << r.error;
-  EXPECT_TRUE(r.check_ok) << r.check_report;  // includes the obs reconcile
-  EXPECT_NE(r.metrics_json.find("\"links\""), std::string::npos);
-  EXPECT_NE(r.metrics_json.find("\"critical_path\""), std::string::npos);
+  EXPECT_TRUE(r.check_ok) << r.check_report;
+  ASSERT_TRUE(r.obs);
+  ASSERT_TRUE(r.topology);
+  EXPECT_EQ(static_cast<double>(r.transfers.h2d),
+            r.obs->metrics().counter_value("transfers.h2d"));
+  const std::string j = obs::report_json(
+      obs::build_report(r.trace, *r.topology, r.obs.get()), r.obs.get());
+  EXPECT_NE(j.find("\"links\""), std::string::npos);
+  EXPECT_NE(j.find("\"critical_path\""), std::string::npos);
+  EXPECT_TRUE(r.flight_json.empty());  // a clean run writes no dump
+}
+
+TEST(Bridge, CheckerViolationWritesAFlightDumpForWorkloads) {
+  // A skipped dependence edge (task 4 -> 12) makes the checker report
+  // races; the workload path must compose the same "checker-violation"
+  // dump as the BLAS path.
+  const WorkloadGraph g = build(spec_of("stencil_1d:width=8,depth=8"));
+  WorkloadBenchConfig cfg;
+  cfg.check.enabled = true;
+  cfg.check.faults.skip_edge_pred = 4;
+  cfg.check.faults.skip_edge_succ = 12;
+  cfg.obs.enabled = true;
+  const BenchResult r = run_workload(
+      spec_for_library("xkblas", rt::HeuristicConfig::xkblas()), g, cfg);
+  ASSERT_FALSE(r.failed) << r.error;
+  ASSERT_FALSE(r.check_ok);
+  ASSERT_FALSE(r.flight_json.empty());
+  const util::JsonValue doc = util::json_parse(r.flight_json);
+  EXPECT_EQ("xkb.obs.flight/1",
+            doc.at("provenance").at("schema").as_string());
+  EXPECT_EQ("checker-violation", doc.at("reason").as_string());
 }
 
 TEST(Bridge, SpecForLibraryRejectsUnknownNamesWithTheList) {

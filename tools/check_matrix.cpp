@@ -6,10 +6,10 @@
 //
 //   check_matrix                 full matrix at the default size
 //   check_matrix --n 16384       bigger tiles-per-matrix sweep
-//   check_matrix --obs           also enable xkb::obs on every run, which
-//                                makes the checker reconcile the observed
-//                                event stream against TransferStats and the
-//                                trace breakdown
+//   check_matrix --obs           also enable xkb::obs on every run and
+//                                check that it is passive: each cell's
+//                                event hash and virtual makespan must equal
+//                                the same cell's obs-off run
 //   check_matrix --overhead      also measure checked-vs-unchecked wall
 //                                clock on a GEMM workload (exit 4 beyond
 //                                2x), and obs-on-vs-off (exit 4 beyond
@@ -74,7 +74,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::size_t runs = 0, skipped = 0, bad_runs = 0, violations = 0;
+  std::size_t runs = 0, skipped = 0, bad_runs = 0, violations = 0,
+              obs_changed = 0;
   for (const auto& model : all_models()) {
     for (Blas3 routine : kRoutines) {
       for (bool dod : {false, true}) {
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
         cfg.tile = tile;
         cfg.data_on_device = dod;
         cfg.check.enabled = true;
-        cfg.obs.enabled = obs;  // adds the obs-vs-stats reconciliation
+        cfg.obs.enabled = obs;
         if (!model->supports(routine)) {
           ++skipped;
           continue;
@@ -106,13 +107,34 @@ int main(int argc, char** argv) {
                        dod ? "data-on-device" : "data-on-host",
                        r.check_violations, r.check_report.c_str());
         }
+        if (obs) {
+          // Passivity: attaching obs must not move a single event.
+          BenchConfig plain = cfg;
+          plain.obs.enabled = false;
+          const BenchResult p = model->run(plain);
+          if (p.event_hash != r.event_hash || p.seconds != r.seconds) {
+            ++obs_changed;
+            std::fprintf(stderr,
+                         "FAIL %s %s n=%zu %s: obs changed the run (hash "
+                         "%016llx vs %016llx, %.17g s vs %.17g s)\n",
+                         model->name().c_str(), blas3_name(routine), n,
+                         dod ? "data-on-device" : "data-on-host",
+                         static_cast<unsigned long long>(r.event_hash),
+                         static_cast<unsigned long long>(p.event_hash),
+                         r.seconds, p.seconds);
+          }
+        }
       }
     }
   }
   std::printf("check_matrix: %zu/%zu checked runs clean, %zu skipped "
               "(unsupported/capacity)\n",
               runs - bad_runs, runs, skipped);
-  if (violations) return 3;
+  if (obs)
+    std::printf("check_matrix: obs passive on %zu/%zu runs (event hash and "
+                "makespan equal to the obs-off run)\n",
+                runs - obs_changed, runs);
+  if (violations || obs_changed) return 3;
 
   if (overhead) {
     BenchConfig cfg;

@@ -20,12 +20,10 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "baselines/common.hpp"
-#include "blas/tiled.hpp"
+#include "baselines/library_model.hpp"
 #include "obs/ledger.hpp"
-#include "runtime/runtime.hpp"
-#include "runtime/scheduler.hpp"
 #include "util/flops.hpp"
 
 using namespace xkb;
@@ -72,53 +70,26 @@ Blas3 parse_routine(const std::string& r) {
   throw std::invalid_argument("unknown routine: " + r);
 }
 
-/// One direct XKBlas-runtime run with observability and the checker
-/// attached, captured as a ledger.  Same skeleton (task_overhead, prepare
-/// window, block-cyclic homes) as trace_report's compare mode, so the two
-/// tools describe the same pair of runs.
-obs::RunLedger run_direct(std::string lib, Blas3 routine, std::size_t n,
+/// One XKBlas-model run with observability and the checker attached (the
+/// ledger's event_hash comes from the checker), captured as a ledger named
+/// `lib` with seed 0.
+obs::RunLedger run_ledger(std::string lib, Blas3 routine, std::size_t n,
                           std::size_t tile, const topo::Topology& topo,
                           rt::HeuristicConfig heur, bool data_on_device) {
-  rt::Platform plat(topo, rt::PerfModel{}, {});
-  obs::Observability o(plat.num_gpus());
-  plat.set_obs(&o);
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = heur;
-  ropt.task_overhead = 3e-6;
-  ropt.prepare_window = 16;
-  ropt.check.enabled = true;  // the ledger's event_hash comes from here
-  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
-                      ropt);
-  blas::EmitOptions emit;
-  emit.tile = tile;
-  emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
-  RoutinePlan plan = plan_routine(runtime, routine, n, emit, P, Q);
-  if (data_on_device) {
-    plan.distribute();
-    runtime.run();
-    plat.trace().clear();
-    o.clear();
-    plan.emit();
-  } else {
-    plan.emit();
-    plan.coherent();
-  }
-  runtime.run();
-  o.finalize_registry();
-  obs::LedgerMeta lm;
+  BenchConfig cfg;
+  cfg.routine = routine;
+  cfg.n = n;
+  cfg.tile = tile;
+  cfg.topology = topo;
+  cfg.data_on_device = data_on_device;
+  cfg.check.enabled = true;
+  cfg.obs.enabled = true;
+  const BenchResult r = make_xkblas(heur)->run(cfg);
+  if (r.failed) throw std::runtime_error(lib + " run failed: " + r.error);
+  obs::LedgerMeta lm = r.obs->ledger_meta();
   lm.lib = std::move(lib);
-  lm.routine = blas3_name(routine);
-  lm.scenario = data_on_device ? "data-on-device" : "data-on-host";
-  lm.n = n;
-  lm.tile = tile;
-  const std::uint64_t hash =
-      runtime.checker() ? runtime.checker()->event_hash() : 0;
-  return obs::build_ledger(plat.trace(), plat.topology(), &o, hash,
+  lm.seed = 0;
+  return obs::build_ledger(r.trace, *r.topology, r.obs.get(), r.event_hash,
                            std::move(lm));
 }
 
@@ -189,9 +160,9 @@ int main(int argc, char** argv) {
     if (direct) {
       const topo::Topology topo = parse_topo(topo_name);
       const Blas3 r = parse_routine(routine);
-      a = run_direct("xkblas", r, n, tile, topo,
+      a = run_ledger("xkblas", r, n, tile, topo,
                      rt::HeuristicConfig::xkblas(), dod);
-      b = run_direct("nohint-notopo", r, n, tile, topo,
+      b = run_ledger("nohint-notopo", r, n, tile, topo,
                      rt::HeuristicConfig::no_heuristic_no_topo(), dod);
       if (!emit_a.empty() && !write_file(emit_a, obs::ledger_json(a)))
         return 1;
@@ -217,9 +188,9 @@ int main(int argc, char** argv) {
       if (direct) {
         const topo::Topology topo = parse_topo(topo_name);
         const Blas3 r = parse_routine(routine);
-        a2 = run_direct("xkblas", r, n, tile, topo,
+        a2 = run_ledger("xkblas", r, n, tile, topo,
                         rt::HeuristicConfig::xkblas(), dod);
-        b2 = run_direct("nohint-notopo", r, n, tile, topo,
+        b2 = run_ledger("nohint-notopo", r, n, tile, topo,
                         rt::HeuristicConfig::no_heuristic_no_topo(), dod);
       } else {
         a2 = obs::ledger_from_file(path_a);

@@ -16,13 +16,12 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
-#include "baselines/common.hpp"
-#include "blas/tiled.hpp"
+#include "baselines/library_model.hpp"
 #include "obs/report.hpp"
-#include "runtime/runtime.hpp"
-#include "runtime/scheduler.hpp"
 #include "trace/export.hpp"
 
 using namespace xkb;
@@ -90,47 +89,23 @@ void dump_cp(const obs::RunReport& rep, const trace::Trace& tr,
   }
 }
 
-/// One direct XKBlas-runtime run with observability attached (same skeleton
-/// as xkbsim_cli --trace-out).
-DirectRun run_direct(Blas3 routine, std::size_t n, std::size_t tile,
+/// One XKBlas-model run with observability attached, reported.
+DirectRun run_report(Blas3 routine, std::size_t n, std::size_t tile,
                      const topo::Topology& topo, rt::HeuristicConfig heur,
                      bool data_on_device) {
-  rt::Platform plat(topo, rt::PerfModel{}, {});
-  obs::Observability o(plat.num_gpus());
-  plat.set_obs(&o);
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = heur;
-  ropt.task_overhead = 3e-6;
-  ropt.prepare_window = 16;
-  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
-                      ropt);
-  blas::EmitOptions emit;
-  emit.tile = tile;
-  emit.attach_functional = false;
-  auto [P, Q] = blas::default_grid(plat.num_gpus());
-  emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-    return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-           static_cast<int>(j % static_cast<std::size_t>(Q));
-  };
-  RoutinePlan plan = plan_routine(runtime, routine, n, emit, P, Q);
-  if (data_on_device) {
-    // Same skeleton as the library models: distribute to the block-cyclic
-    // homes first, then observe only the measured compute phase.
-    plan.distribute();
-    runtime.run();
-    plat.trace().clear();
-    o.clear();
-    plan.emit();
-  } else {
-    plan.emit();
-    plan.coherent();
-  }
-  runtime.run();
-  o.finalize_registry();
+  BenchConfig cfg;
+  cfg.routine = routine;
+  cfg.n = n;
+  cfg.tile = tile;
+  cfg.topology = topo;
+  cfg.data_on_device = data_on_device;
+  cfg.obs.enabled = true;
+  BenchResult res = make_xkblas(heur)->run(cfg);
+  if (res.failed) throw std::runtime_error("run failed: " + res.error);
   DirectRun r;
-  r.rep = obs::build_report(plat.trace(), plat.topology(), &o);
-  r.json = obs::report_json(r.rep, &o);
-  r.trace = plat.trace();
+  r.rep = obs::build_report(res.trace, *res.topology, res.obs.get());
+  r.json = obs::report_json(r.rep, res.obs.get());
+  r.trace = std::move(res.trace);
   return r;
 }
 
@@ -195,9 +170,9 @@ int main(int argc, char** argv) {
     // Compare mode: both heuristics on vs the paper's full ablation.
     const Blas3 r = parse_routine(routine);
     const DirectRun on =
-        run_direct(r, n, tile, topo, rt::HeuristicConfig::xkblas(), dod);
+        run_report(r, n, tile, topo, rt::HeuristicConfig::xkblas(), dod);
     const DirectRun off =
-        run_direct(r, n, tile, topo,
+        run_report(r, n, tile, topo,
                    rt::HeuristicConfig::no_heuristic_no_topo(), dod);
 
     std::printf("=== XKBlas (topo-aware + optimistic D2D) ===\n%s\n",

@@ -23,14 +23,13 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/workload_entry.hpp"
 #include "obs/provenance.hpp"
 #include "obs/report.hpp"
-#include "runtime/scheduler.hpp"
-#include "workload/bridge.hpp"
 #include "workload/workload.hpp"
 
 using namespace xkb;
@@ -90,10 +89,8 @@ struct SweepRow {
   std::size_t tasks = 0, h2d = 0, d2d = 0, d2h = 0, optimistic_waits = 0;
 };
 
-/// One direct run with observability retained (the trace dies with the
-/// platform, so link-class byte totals must be computed here, not from a
-/// BenchResult).
-struct DirectWorkloadRun {
+/// One XKBlas-model run with observability, reduced to the gate's numbers.
+struct GateRun {
   double span = 0.0;
   double pcie_host_bytes = 0.0;
   double nvlink_bytes = 0.0;
@@ -101,47 +98,18 @@ struct DirectWorkloadRun {
   std::string json;
 };
 
-DirectWorkloadRun run_direct(const wl::WorkloadGraph& g,
-                             const topo::Topology& topo,
-                             rt::HeuristicConfig heur, bool dod) {
-  rt::Platform plat(topo, rt::PerfModel{}, {});
-  obs::Observability o(plat.num_gpus());
-  plat.set_obs(&o);
-  rt::RuntimeOptions ropt;
-  ropt.heuristics = heur;
-  ropt.task_overhead = 3e-6;
-  ropt.prepare_window = 16;
-  rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
-                      ropt);
-
-  wl::BridgeOptions bopt;
-  if (g.grid_placement) {
-    auto [P, Q] = blas::default_grid(plat.num_gpus());
-    bopt.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-      return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-             static_cast<int>(j % static_cast<std::size_t>(Q));
-    };
-  } else {
-    bopt.home = [n = plat.num_gpus()](std::size_t i, std::size_t) {
-      return static_cast<int>(i % static_cast<std::size_t>(n));
-    };
-  }
-  wl::Bridge bridge(runtime, g, std::move(bopt));
-  if (dod) {
-    bridge.distribute();
-    runtime.run();
-    plat.trace().clear();
-    o.clear();
-    bridge.emit();
-  } else {
-    bridge.emit();
-    bridge.coherent();
-  }
-  runtime.run();
-  o.finalize_registry();
-
-  const obs::RunReport rep = obs::build_report(plat.trace(), topo, &o);
-  DirectWorkloadRun r;
+GateRun run_gate(const wl::WorkloadGraph& g, const topo::Topology& topo,
+                 rt::HeuristicConfig heur, bool dod) {
+  WorkloadBenchConfig cfg;
+  cfg.data_on_device = dod;
+  cfg.topology = topo;
+  cfg.obs.enabled = true;
+  const BenchResult res =
+      run_workload(spec_for_library("xkblas", heur), g, cfg);
+  if (res.failed) throw std::runtime_error(g.name + ": " + res.error);
+  const obs::RunReport rep =
+      obs::build_report(res.trace, *res.topology, res.obs.get());
+  GateRun r;
   r.span = rep.span;
   for (const obs::LinkRow& row : rep.links) {
     if (row.cls == "PCIe" || row.cls == "host")
@@ -150,7 +118,7 @@ DirectWorkloadRun run_direct(const wl::WorkloadGraph& g,
       r.nvlink_bytes += static_cast<double>(row.bytes);
   }
   r.nvlink_cp_share = rep.cp.nvlink_share();
-  r.json = obs::report_json(rep, &o);
+  r.json = obs::report_json(rep, res.obs.get());
   return r;
 }
 
@@ -178,9 +146,9 @@ int run_ablation_gate(const topo::Topology& topo, std::string* json_rows) {
   bool first = true;
   for (const GateCase& gc : gate_specs()) {
     const wl::WorkloadGraph g = wl::build(wl::WorkloadSpec::parse(gc.spec));
-    const DirectWorkloadRun on =
-        run_direct(g, topo, rt::HeuristicConfig::xkblas(), gc.dod);
-    const DirectWorkloadRun off = run_direct(
+    const GateRun on =
+        run_gate(g, topo, rt::HeuristicConfig::xkblas(), gc.dod);
+    const GateRun off = run_gate(
         g, topo, rt::HeuristicConfig::no_heuristic_no_topo(), gc.dod);
     const char* scenario = gc.dod ? "data-on-device" : "data-on-host";
 

@@ -78,8 +78,7 @@ void usage() {
       "                 exit 3 and print the report on any violation\n"
       "  --hash         print the FNV-1a event-stream hash (implies --check)\n"
       "  --metrics-out F  xkb::obs metrics + link-utilization + critical-path\n"
-      "                 JSON to file F (any --lib; with --trace-out the same\n"
-      "                 direct run feeds both files)\n"
+      "                 JSON to file F\n"
       "  --ledger-out F run ledger (schema xkb.obs.ledger/1: decisions,\n"
       "                 link histograms, critical path, event hash) to file\n"
       "                 F, for offline diffing with tools/run_diff\n"
@@ -89,9 +88,9 @@ void usage() {
       "  --flight-out F write the crash flight-recorder dump (last-N\n"
       "                 observable events + decisions + ledger snapshot,\n"
       "                 schema xkb.obs.flight/1) to F if the run fails\n"
-      "  --trace-out F  own XKBlas run, Chrome trace-event JSON to file F,\n"
+      "  --trace-out F  Chrome trace-event JSON of the run to file F,\n"
       "                 enriched with decision/flow/counter tracks\n"
-      "                 (--trace-json is an alias; BLAS routines only)\n"
+      "                 (--trace-json is an alias)\n"
       "\n"
       "fault injection (xkb::fault):\n"
       "  --fault-plan F run under the xkb::fault plan in file F\n"
@@ -283,82 +282,11 @@ int main(int argc, char** argv) {
           fault::FaultPlan::random(fault_seed, topology.num_gpus(),
                                    fault_horizon);
 
-    if (!trace_json.empty()) {
-      // Direct run with the trace retained, exported for chrome://tracing.
-      BenchConfig cfg;
-      cfg.routine = parse_routine(routine);
-      cfg.n = n;
-      cfg.tile = tile;
-      cfg.topology = topology;
-      rt::Platform plat(cfg.topology, cfg.perf, {});
-      obs::Observability o(plat.num_gpus());
-      plat.set_obs(&o);  // before the Runtime: it caches series pointers
-      rt::RuntimeOptions ropt;
-      ropt.heuristics = heur;
-      ropt.task_overhead = 3e-6;
-      ropt.prepare_window = 16;
-      ropt.check.enabled = check;
-      rt::Runtime runtime(plat,
-                          std::make_unique<rt::OwnerComputesScheduler>(),
-                          ropt);
-      blas::EmitOptions emit;
-      emit.tile = cfg.tile;
-      emit.attach_functional = false;
-      auto [P, Q] = blas::default_grid(plat.num_gpus());
-      emit.home = [P = P, Q = Q](std::size_t i, std::size_t j) {
-        return static_cast<int>(i % static_cast<std::size_t>(P)) * Q +
-               static_cast<int>(j % static_cast<std::size_t>(Q));
-      };
-      RoutinePlan plan = plan_routine(runtime, cfg.routine, cfg.n, emit, P, Q);
-      plan.emit();
-      plan.coherent();
-      const double t = runtime.run();
-      if (const check::Checker* c = runtime.checker()) {
-        if (hash) std::printf("event_hash: %016llx\n",
-                              static_cast<unsigned long long>(c->event_hash()));
-        if (!c->ok()) {
-          std::fprintf(stderr, "xkb::check: %zu violation(s)\n%s",
-                       c->total_violations(), c->report().c_str());
-          return 3;
-        }
-      }
-      o.finalize_registry();
-      std::ofstream out(trace_json);
-      out << obs::to_chrome_json(plat.trace(), o);
-      std::printf("XKBlas %s N=%zu: %.2f TFlop/s; %zu trace events, "
-                  "%zu decisions, %zu chains -> %s\n",
-                  blas3_name(cfg.routine), n, plan.flops / t / 1e12,
-                  plat.trace().records().size(), o.decisions().size(),
-                  o.flows().size(), trace_json.c_str());
-      if (!metrics_out.empty()) {
-        const obs::RunReport rep =
-            obs::build_report(plat.trace(), plat.topology(), &o);
-        std::ofstream mout(metrics_out);
-        mout << obs::report_json(rep, &o);
-        std::printf("metrics -> %s\n", metrics_out.c_str());
-      }
-      if (!ledger_out.empty()) {
-        obs::LedgerMeta lm;
-        lm.lib = "xkblas";
-        lm.routine = blas3_name(cfg.routine);
-        lm.scenario = "direct";
-        lm.n = cfg.n;
-        lm.tile = cfg.tile;
-        lm.seed = fault_plan.seed;
-        std::uint64_t h = 0;
-        if (const check::Checker* c = runtime.checker()) h = c->event_hash();
-        std::ofstream lout(ledger_out);
-        lout << obs::ledger_json(
-            obs::build_ledger(plat.trace(), plat.topology(), &o, h, lm));
-        std::printf("ledger -> %s\n", ledger_out.c_str());
-      }
-      selfprof_report();
-      return 0;
-    }
-
     BenchResult r;
     std::string experiment;  // header / CSV experiment column
     char header[256];
+    const bool want_obs = !metrics_out.empty() || !ledger_out.empty() ||
+                          !flight_out.empty() || !trace_json.empty();
     if (!workload.empty() || !workload_file.empty()) {
       const wl::WorkloadGraph g =
           workload_file.empty()
@@ -369,8 +297,7 @@ int main(int argc, char** argv) {
       wcfg.data_on_device = dod;
       wcfg.topology = topology;
       wcfg.check.enabled = check;
-      wcfg.obs.enabled = !metrics_out.empty() || !ledger_out.empty() ||
-                         !flight_out.empty();
+      wcfg.obs.enabled = want_obs;
       wcfg.fault_plan = fault_plan;
       r = run_workload(spec, g, wcfg);
       experiment = g.name;
@@ -385,8 +312,7 @@ int main(int argc, char** argv) {
       cfg.topology = topology;
       cfg.data_on_device = dod;
       cfg.check.enabled = check;
-      cfg.obs.enabled = !metrics_out.empty() || !ledger_out.empty() ||
-                        !flight_out.empty();
+      cfg.obs.enabled = want_obs;
       cfg.fault_plan = fault_plan;
       auto model = parse_lib(lib, heur);
       if (!model->supports(cfg.routine)) {
@@ -419,19 +345,26 @@ int main(int argc, char** argv) {
                    r.check_violations, r.check_report.c_str());
       return 3;
     }
+    if (!trace_json.empty()) {
+      std::ofstream out(trace_json);
+      out << obs::to_chrome_json(r.trace, *r.obs);
+      std::printf("%s: %zu trace events, %zu decisions, %zu chains -> %s\n",
+                  r.obs->ledger_meta().lib.c_str(), r.trace.records().size(),
+                  r.obs->decisions().size(), r.obs->flows().size(),
+                  trace_json.c_str());
+    }
     if (!metrics_out.empty()) {
       std::ofstream mout(metrics_out);
-      mout << r.metrics_json;
+      mout << obs::report_json(
+          obs::build_report(r.trace, *r.topology, r.obs.get()), r.obs.get());
       std::printf("metrics -> %s\n", metrics_out.c_str());
     }
     if (!ledger_out.empty()) {
-      if (r.ledger_json.empty()) {
-        std::fprintf(stderr, "warning: run produced no ledger\n");
-      } else {
-        std::ofstream lout(ledger_out);
-        lout << r.ledger_json;
-        std::printf("ledger -> %s\n", ledger_out.c_str());
-      }
+      std::ofstream lout(ledger_out);
+      lout << obs::ledger_json(obs::build_ledger(r.trace, *r.topology,
+                                                 r.obs.get(), r.event_hash,
+                                                 r.obs->ledger_meta()));
+      std::printf("ledger -> %s\n", ledger_out.c_str());
     }
 
     if (csv) {
