@@ -34,11 +34,11 @@
 //       xkb.obs.flight/1
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/library_model.hpp"
+#include "bench_io.hpp"
 #include "fault/fault.hpp"
 #include "obs/ledger.hpp"
 #include "obs/provenance.hpp"
@@ -63,16 +63,6 @@ struct Outcome {
   std::size_t task_remaps = 0;
   std::size_t task_replays = 0;
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
-}
 
 fault::FaultPlan make_plan(const std::string& kind, double T, int gpus) {
   fault::FaultPlan plan;
@@ -222,19 +212,23 @@ int main(int argc, char** argv) {
   std::size_t n = 8192, tile = 2048;
   std::string report_path, flight_out;
   bool flight_probe = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--n" && i + 1 < argc) n = std::stoul(argv[++i]);
-    else if (arg == "--tile" && i + 1 < argc) tile = std::stoul(argv[++i]);
-    else if (arg == "--report" && i + 1 < argc) report_path = argv[++i];
-    else if (arg == "--flight-probe") flight_probe = true;
-    else if (arg == "--flight-out" && i + 1 < argc) flight_out = argv[++i];
-    else {
-      std::fprintf(stderr,
-                   "usage: chaos_matrix [--n N] [--tile T] [--report F] "
-                   "[--flight-probe [--flight-out F]]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--n" && i + 1 < argc) n = bench::parse_size(arg, argv[++i]);
+      else if (arg == "--tile" && i + 1 < argc)
+        tile = bench::parse_size(arg, argv[++i]);
+      else if (arg == "--report" && i + 1 < argc) report_path = argv[++i];
+      else if (arg == "--flight-probe") flight_probe = true;
+      else if (arg == "--flight-out" && i + 1 < argc) flight_out = argv[++i];
+      else throw std::invalid_argument("unknown option " + arg);
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr,
+                 "%s\nusage: chaos_matrix [--n N] [--tile T] [--report F] "
+                 "[--flight-probe [--flight-out F]]\n",
+                 e.what());
+    return 2;
   }
   if (flight_probe) return run_flight_probe(n, tile, flight_out);
 
@@ -344,27 +338,29 @@ int main(int argc, char** argv) {
   }
 
   if (!report_path.empty()) {
-    std::ofstream out(report_path);
-    out << "{\"provenance\":"
-        << obs::Provenance::current("xkb.bench.chaos", 1, 42).to_json()
-        << ",\"n\":" << n << ",\"tile\":" << tile << ",\"runs\":[";
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const Outcome& o = outcomes[i];
-      if (i) out << ",";
-      out << "{\"lib\":\"" << o.lib << "\",\"routine\":\"" << o.routine
-          << "\",\"scenario\":\"" << o.scenario << "\",\"fault\":\""
-          << o.fault << "\",\"completed\":" << (o.completed ? "true" : "false")
-          << ",\"check_ok\":" << (o.check_ok ? "true" : "false")
-          << ",\"seconds\":" << o.seconds << ",\"waiter_replans\":"
-          << o.waiter_replans << ",\"task_remaps\":" << o.task_remaps
-          << ",\"task_replays\":" << o.task_replays << ",\"error\":\""
-          << json_escape(o.error) << "\",\"fault\":"
-          << (o.fault_json.empty() ? "null" : o.fault_json) << "}";
-    }
-    out << "],\"acceptance_waiter_replan\":"
-        << (acceptance_hit ? "true" : "false")
-        << ",\"determinism_ok\":" << (determinism_ok ? "true" : "false")
-        << ",\"failures\":" << failures << "}\n";
+    util::JsonArray runs;
+    for (const Outcome& o : outcomes)
+      runs.push_back(bench::object(
+          {{"lib", o.lib}, {"routine", o.routine}, {"scenario", o.scenario},
+           {"fault", o.fault}, {"completed", o.completed},
+           {"check_ok", o.check_ok}, {"seconds", o.seconds},
+           {"waiter_replans", o.waiter_replans},
+           {"task_remaps", o.task_remaps}, {"task_replays", o.task_replays},
+           {"error", o.error},
+           {"fault", o.fault_json.empty() ? util::JsonValue()
+                                          : util::json_parse(o.fault_json)}}));
+    const obs::Provenance prov =
+        obs::Provenance::current("xkb.bench.chaos", 1, 42);
+    if (!bench::write_artifact(
+            report_path,
+            bench::object({{"provenance", bench::provenance(prov)},
+                           {"n", n},
+                           {"tile", tile},
+                           {"runs", std::move(runs)},
+                           {"acceptance_waiter_replan", acceptance_hit},
+                           {"determinism_ok", determinism_ok},
+                           {"failures", failures}})))
+      return 2;
     std::printf("fault report -> %s\n", report_path.c_str());
   }
 

@@ -19,12 +19,16 @@
 //                                (exit 4 beyond 1.3x) and verify the
 //                                pinned event hash is unchanged with the
 //                                profiler attached
-#include <chrono>
+//
+// The overhead probe interleaves detached and attached runs rep by rep and
+// compares per-side medians (bench::probe_overhead), and every ratio is
+// printed before any budget fails the run.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/library_model.hpp"
-#include "util/flops.hpp"
+#include "bench_io.hpp"
 #include "util/selfprof.hpp"
 
 using namespace xkb;
@@ -37,41 +41,26 @@ constexpr Blas3 kRoutines[] = {
     Blas3::kTrsm, Blas3::kHemm, Blas3::kHerk,  Blas3::kHer2k,
 };
 
-double wall_seconds(const BenchConfig& cfg, bool checked, bool obs = false) {
-  BenchConfig c = cfg;
-  c.check.enabled = checked;
-  c.obs.enabled = obs;
-  auto model = make_xkblas(rt::HeuristicConfig::xkblas());
-  // Enough repetitions to keep the ratio stable: one run is ~1 ms of wall
-  // clock and a 2x budget check on single-millisecond samples would be
-  // noise-bound.
-  constexpr int kReps = 20;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < kReps; ++rep) {
-    const BenchResult r = model->run(c);
-    if (r.failed) return -1.0;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::size_t n = 8192, tile = 2048;
   bool overhead = false, obs = false, selfprof = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--n" && i + 1 < argc) n = std::stoul(argv[++i]);
-    else if (arg == "--tile" && i + 1 < argc) tile = std::stoul(argv[++i]);
-    else if (arg == "--overhead") overhead = true;
-    else if (arg == "--obs") obs = true;
-    else if (arg == "--selfprof") selfprof = true;
-    else {
-      std::fprintf(stderr, "usage: check_matrix [--n N] [--tile T] "
-                           "[--obs] [--overhead] [--selfprof]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--n" && i + 1 < argc) n = bench::parse_size(arg, argv[++i]);
+      else if (arg == "--tile" && i + 1 < argc)
+        tile = bench::parse_size(arg, argv[++i]);
+      else if (arg == "--overhead") overhead = true;
+      else if (arg == "--obs") obs = true;
+      else if (arg == "--selfprof") selfprof = true;
+      else throw std::invalid_argument("unknown option " + arg);
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\nusage: check_matrix [--n N] [--tile T] "
+                         "[--obs] [--overhead] [--selfprof]\n", e.what());
+    return 2;
   }
 
   std::size_t runs = 0, skipped = 0, bad_runs = 0, violations = 0,
@@ -136,82 +125,55 @@ int main(int argc, char** argv) {
                 runs - obs_changed, runs);
   if (violations || obs_changed) return 3;
 
-  if (overhead) {
-    BenchConfig cfg;
-    cfg.routine = Blas3::kGemm;
-    cfg.n = 16384;
-    cfg.tile = 2048;
-    const double off = wall_seconds(cfg, false);
-    const double on = wall_seconds(cfg, true);
-    if (off <= 0.0 || on <= 0.0) {
-      std::fprintf(stderr, "overhead probe failed to run\n");
-      return 4;
-    }
-    const double ratio = on / off;
-    std::printf("checked-mode overhead: %.2fx (%.3fs -> %.3fs over 20 reps)\n",
-                ratio, off, on);
-    if (ratio > 2.0) {
-      std::fprintf(stderr, "overhead budget exceeded (limit 2.0x)\n");
-      return 4;
-    }
-    // The observability layer must stay near-free: passive probes and
-    // counter bumps only, no extra engine events.
-    const double obs_on = wall_seconds(cfg, false, /*obs=*/true);
-    if (obs_on <= 0.0) {
-      std::fprintf(stderr, "obs overhead probe failed to run\n");
-      return 4;
-    }
-    const double obs_ratio = obs_on / off;
-    std::printf("obs-mode overhead: %.2fx (%.3fs -> %.3fs over 20 reps)\n",
-                obs_ratio, off, obs_on);
-    if (obs_ratio > 1.3) {
-      std::fprintf(stderr, "obs overhead budget exceeded (limit 1.3x)\n");
-      return 4;
-    }
-  }
-
+  if (!overhead && !selfprof) return 0;
+  BenchConfig cfg;
+  cfg.routine = Blas3::kGemm;
+  cfg.n = 16384;
+  cfg.tile = 2048;
   if (selfprof) {
-    BenchConfig cfg;
-    cfg.routine = Blas3::kGemm;
-    cfg.n = 16384;
-    cfg.tile = 2048;
     // Hash invariance: the profiler must not perturb the event stream.
-    BenchConfig hcfg = cfg;
-    hcfg.check.enabled = true;
-    auto model = make_xkblas(rt::HeuristicConfig::xkblas());
-    const BenchResult off_run = model->run(hcfg);
-    prof::SelfProfiler sp;
-    prof::SelfProfiler::activate(&sp);
-    const BenchResult on_run = model->run(hcfg);
-    prof::SelfProfiler::activate(nullptr);
-    if (off_run.failed || on_run.failed ||
-        off_run.event_hash != on_run.event_hash) {
+    const bench::HashCheck h = bench::selfprof_hash_check(cfg);
+    if (!h.ok) {
       std::fprintf(stderr,
                    "self-profiler changed the pinned event hash "
                    "(%016llx vs %016llx)\n",
-                   static_cast<unsigned long long>(off_run.event_hash),
-                   static_cast<unsigned long long>(on_run.event_hash));
+                   static_cast<unsigned long long>(h.off),
+                   static_cast<unsigned long long>(h.on));
       return 4;
     }
-    // Attach overhead under the same 1.3x budget as the obs layer.
-    const double off = wall_seconds(cfg, false);
-    sp.clear();
-    prof::SelfProfiler::activate(&sp);
-    const double on = wall_seconds(cfg, false);
-    prof::SelfProfiler::activate(nullptr);
-    if (off <= 0.0 || on <= 0.0) {
-      std::fprintf(stderr, "selfprof overhead probe failed to run\n");
-      return 4;
-    }
-    const double ratio = on / off;
-    std::printf(
-        "selfprof-mode overhead: %.2fx (%.3fs -> %.3fs over 20 reps), "
-        "hash invariant\n",
-        ratio, off, on);
-    if (ratio > 1.3) {
-      std::fprintf(stderr, "selfprof overhead budget exceeded (limit 1.3x)\n");
-      return 4;
+    std::printf("self-profiler: event hash invariant (%016llx)\n",
+                static_cast<unsigned long long>(h.on));
+  }
+  // 20 reps per side: one run is ~1 ms of wall clock, and a budget check on
+  // single-millisecond samples would be noise-bound.
+  constexpr int kReps = 20;
+  prof::SelfProfiler sp;
+  const bench::Overhead o = bench::probe_overhead(
+      cfg, kReps, {overhead, overhead, selfprof ? &sp : nullptr});
+  if (!o.ok) {
+    std::fprintf(stderr, "overhead probe failed to run\n");
+    return 4;
+  }
+  // The observability layer and the self-profiler must stay near-free:
+  // passive probes and counter bumps only, no extra engine events.
+  struct Budget {
+    const char* mode;
+    double ratio, limit;
+  };
+  const Budget budgets[] = {{"checked", o.check, 2.0},
+                            {"obs", o.obs, 1.3},
+                            {"selfprof", o.selfprof, 1.3}};
+  int rc = 0;
+  for (const Budget& b : budgets) {
+    if (b.ratio == 0.0) continue;  // not probed
+    std::printf("%s-mode overhead: %.2fx (median of %d reps: %.4fs -> "
+                "%.4fs)\n",
+                b.mode, b.ratio, kReps, o.off_s, o.off_s * b.ratio);
+    if (b.ratio > b.limit) {
+      std::fprintf(stderr, "%s overhead budget exceeded (limit %.1fx)\n",
+                   b.mode, b.limit);
+      rc = 4;
     }
   }
-  return 0;
+  return rc;
 }

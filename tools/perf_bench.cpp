@@ -42,36 +42,29 @@
 // re-parses the existing file, preserves its points, and adds this run's.
 // A new point whose events/sec falls >= 15% below the previous one prints
 // a regression warning (stderr; the hard gates stay --min-speedup and CI).
-#include <algorithm>
-#include <chrono>
+// The trajectory, the artifact writer and the overhead probe live in
+// bench_io, shared with the other bench tools.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "baselines/library_model.hpp"
 #include "baselines/workload_entry.hpp"
-#include "obs/provenance.hpp"
+#include "bench_io.hpp"
 #include "sim/engine.hpp"
-#include "util/flops.hpp"
-#include "util/json.hpp"
 #include "util/selfprof.hpp"
 #include "workload/workload.hpp"
 
 using namespace xkb;
 using namespace xkb::baselines;
+using bench::wall_of;
 
 namespace {
-
-double wall_of(const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
 
 // ---------------------------------------------------------------------
 // The pre-refactor engine, replicated byte-for-byte in behaviour: a
@@ -256,180 +249,104 @@ double eps_of(const ChurnResult& r) {
   return r.seconds > 0.0 ? static_cast<double>(r.events) / r.seconds : 0.0;
 }
 
-// Prior trajectory points recovered from an existing artifact (--append),
-// plus the newest prior events/sec for the regression warning.
-struct Trajectory {
-  std::vector<std::string> points;  ///< serialized JSON objects, oldest first
-  double prev_eps = -1.0;
-};
-
-Trajectory load_trajectory(const std::string& path) {
-  Trajectory t;
-  try {
-    const util::JsonValue doc = util::json_parse_file(path);
-    if (const util::JsonValue* traj = doc.find("trajectory")) {
-      for (const util::JsonValue& p : traj->as_array()) {
-        t.points.push_back(util::json_dump(p));
-        t.prev_eps = p.number_or("events_per_sec", t.prev_eps);
-      }
-    }
-  } catch (const std::exception&) {
-    // Missing file or pre-trajectory schema: start a fresh trajectory.
-  }
-  return t;
-}
-
-/// Emit "trajectory": [prior..., current] (current last = newest).
-void emit_trajectory(std::FILE* f, const Trajectory& t,
-                     const std::string& current) {
-  std::fprintf(f, "  \"trajectory\": [\n");
-  for (const std::string& p : t.points)
-    std::fprintf(f, "    %s,\n", p.c_str());
-  std::fprintf(f, "    %s\n  ],\n", current.c_str());
-}
-
-void warn_regression(const char* what, const Trajectory& t, double eps) {
-  if (t.prev_eps > 0.0 && eps < 0.85 * t.prev_eps)
-    std::fprintf(stderr,
-                 "WARNING: %s events/sec regressed %.1f%% vs the previous "
-                 "trajectory point (%.0f -> %.0f)\n",
-                 what, 100.0 * (1.0 - eps / t.prev_eps), t.prev_eps, eps);
-}
-
-std::string trajectory_point(const obs::Provenance& prov, const char* mode,
-                             double eps, const char* extra_key,
-                             double extra_val) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"git\": \"%s\", \"date\": \"%s\", \"mode\": \"%s\", "
-                "\"events_per_sec\": %.0f, \"%s\": %.2f}",
-                prov.git.c_str(), prov.date.c_str(), mode, eps, extra_key,
-                extra_val);
-  return buf;
-}
-
-void emit_engine_json(std::FILE* f, const char* mode, std::uint64_t events,
-                      int reps, const std::vector<DepthPoint>& points,
-                      bool all_identical, const std::string& prov,
-                      const Trajectory& traj, const std::string& cur_point) {
-  std::fprintf(f, "{\n  \"schema\": \"xkb.bench.engine/2\",\n");
-  std::fprintf(f, "  \"provenance\": %s,\n", prov.c_str());
-  emit_trajectory(f, traj, cur_point);
-  std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-  std::fprintf(f, "  \"churn\": {\"events\": %llu, \"reps\": %d},\n",
-               static_cast<unsigned long long>(events), reps);
-  std::fprintf(f, "  \"depths\": [\n");
-  for (std::size_t pi = 0; pi < points.size(); ++pi) {
-    const DepthPoint& p = points[pi];
-    std::fprintf(f, "    {\"chains\": %llu,\n     \"engines\": [\n",
-                 static_cast<unsigned long long>(p.chains));
-    struct {
-      const char* name;
-      const ChurnResult* r;
-    } rows[] = {{"legacy_heap_stdfunction", &p.legacy},
-                {"arena_heap", &p.heap},
-                {"calendar", &p.cal}};
-    for (std::size_t i = 0; i < 3; ++i) {
-      std::fprintf(f,
-                   "       {\"name\": \"%s\", \"seconds\": %.6f, "
-                   "\"events_per_sec\": %.0f}%s\n",
-                   rows[i].name, rows[i].r->seconds, eps_of(*rows[i].r),
-                   i + 1 < 3 ? "," : "");
-    }
-    std::fprintf(f,
-                 "     ],\n     \"speedup\": "
-                 "{\"calendar_vs_legacy_heap\": %.2f, "
-                 "\"calendar_vs_arena_heap\": %.2f},\n"
-                 "     \"dispatch_order_identical\": %s}%s\n",
-                 eps_of(p.cal) / eps_of(p.legacy),
-                 eps_of(p.cal) / eps_of(p.heap),
-                 p.identical ? "true" : "false",
-                 pi + 1 < points.size() ? "," : "");
+util::JsonValue engine_json(const char* mode, std::uint64_t events, int reps,
+                            const std::vector<DepthPoint>& points,
+                            bool all_identical, const std::string& path,
+                            bool append) {
+  const obs::Provenance prov =
+      obs::Provenance::current("xkb.bench.engine", 2, 0);
+  util::JsonArray depths;
+  for (const DepthPoint& p : points) {
+    const auto row = [](const char* name, const ChurnResult& r) {
+      return bench::object({{"name", name},
+                            {"seconds", r.seconds},
+                            {"events_per_sec", eps_of(r)}});
+    };
+    depths.push_back(bench::object(
+        {{"chains", p.chains},
+         {"engines", util::JsonArray{row("legacy_heap_stdfunction", p.legacy),
+                                     row("arena_heap", p.heap),
+                                     row("calendar", p.cal)}},
+         {"speedup",
+          bench::object(
+              {{"calendar_vs_legacy_heap", eps_of(p.cal) / eps_of(p.legacy)},
+               {"calendar_vs_arena_heap", eps_of(p.cal) / eps_of(p.heap)}})},
+         {"dispatch_order_identical", p.identical}}));
   }
   const DepthPoint& gate = points.back();
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"gate\": {\"chains\": %llu, "
-               "\"calendar_vs_legacy_heap\": %.2f},\n",
-               static_cast<unsigned long long>(gate.chains),
-               eps_of(gate.cal) / eps_of(gate.legacy));
-  std::fprintf(f, "  \"determinism\": {\"dispatch_order_identical\": %s}\n",
-               all_identical ? "true" : "false");
-  std::fprintf(f, "}\n");
+  const double gate_speedup = eps_of(gate.cal) / eps_of(gate.legacy);
+  return bench::object(
+      {{"schema", prov.tag()},
+       {"provenance", bench::provenance(prov)},
+       {"trajectory",
+        bench::trajectory(path, append, prov, mode,
+                          {{"events_per_sec", eps_of(gate.cal)},
+                           {"speedup", gate_speedup}},
+                          "events_per_sec")},
+       {"mode", mode},
+       {"churn", bench::object({{"events", events}, {"reps", reps}})},
+       {"depths", std::move(depths)},
+       {"gate", bench::object({{"chains", gate.chains},
+                               {"calendar_vs_legacy_heap", gate_speedup}})},
+       {"determinism",
+        bench::object({{"dispatch_order_identical", all_identical}})}});
 }
 
-void emit_e2e_json(std::FILE* f, const char* mode, std::size_t n,
-                   std::size_t tile, const std::vector<E2eRow>& rows,
-                   int overhead_reps, double check_ratio, double obs_ratio,
-                   const std::string& prov, const Trajectory& traj,
-                   const std::string& cur_point) {
-  auto aggregate = [&](const char* kind, double* wall, double* events,
-                       std::size_t* count) {
-    *wall = 0.0;
-    *events = 0.0;
-    *count = 0;
-    for (const E2eRow& r : rows) {
-      if (r.kind != kind) continue;
-      *wall += r.wall;
-      *events += static_cast<double>(r.res.events_processed);
-      ++*count;
-    }
+util::JsonValue e2e_json(const char* mode, std::size_t n, std::size_t tile,
+                         const std::vector<E2eRow>& rows, int overhead_reps,
+                         const bench::Overhead& ovh, const std::string& path,
+                         bool append) {
+  const obs::Provenance prov = obs::Provenance::current("xkb.bench.e2e", 2, 0);
+  const auto per_sec = [](double x, double wall) {
+    return wall > 0.0 ? x / wall : 0.0;
   };
-  std::fprintf(f, "{\n  \"schema\": \"xkb.bench.e2e/2\",\n");
-  std::fprintf(f, "  \"provenance\": %s,\n", prov.c_str());
-  emit_trajectory(f, traj, cur_point);
-  std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-  for (const char* kind : {"blas", "workload"}) {
-    const bool blas = std::strcmp(kind, "blas") == 0;
-    std::fprintf(f, "  \"%s\": {\n", blas ? "fig5" : "workloads");
-    if (blas)
-      std::fprintf(f, "    \"n\": %zu,\n    \"tile\": %zu,\n", n, tile);
-    std::fprintf(f, "    \"runs\": [\n");
-    bool first = true;
+  struct Section {
+    util::JsonArray runs;
+    double wall = 0.0, events = 0.0;
+  };
+  const auto section = [&](const char* kind) {
+    Section sec;
     for (const E2eRow& r : rows) {
       if (r.kind != kind) continue;
-      if (!first) std::fprintf(f, ",\n");
-      first = false;
-      std::fprintf(f,
-                   "      {\"name\": \"%s\", \"routine\": \"%s\", "
-                   "\"wall_seconds\": %.6f, \"virtual_seconds\": %.6f, "
-                   "\"tasks\": %zu, \"events\": %llu, "
-                   "\"events_per_sec\": %.0f}",
-                   r.name.c_str(), r.routine.c_str(), r.wall, r.res.seconds,
-                   r.res.tasks,
-                   static_cast<unsigned long long>(r.res.events_processed),
-                   r.wall > 0.0
-                       ? static_cast<double>(r.res.events_processed) / r.wall
-                       : 0.0);
+      const double ev = static_cast<double>(r.res.events_processed);
+      sec.wall += r.wall;
+      sec.events += ev;
+      sec.runs.push_back(bench::object(
+          {{"name", r.name}, {"routine", r.routine},
+           {"wall_seconds", r.wall}, {"virtual_seconds", r.res.seconds},
+           {"tasks", r.res.tasks}, {"events", r.res.events_processed},
+           {"events_per_sec", per_sec(ev, r.wall)}}));
     }
-    std::fprintf(f, "\n    ],\n");
-    double wall = 0.0, events = 0.0;
-    std::size_t count = 0;
-    aggregate(kind, &wall, &events, &count);
-    std::fprintf(f,
-                 "    \"aggregate\": {\"runs\": %zu, \"wall_seconds\": %.6f, "
-                 "\"runs_per_sec\": %.2f, \"events_per_sec\": %.0f}\n  },\n",
-                 count, wall, wall > 0.0 ? count / wall : 0.0,
-                 wall > 0.0 ? events / wall : 0.0);
-  }
-  std::fprintf(f,
-               "  \"overhead\": {\"reps\": %d, \"check_ratio\": %.3f, "
-               "\"obs_ratio\": %.3f}\n}\n",
-               overhead_reps, check_ratio, obs_ratio);
-}
-
-double overhead_wall(const BenchConfig& base, bool checked, bool obs,
-                     int reps) {
-  BenchConfig cfg = base;
-  cfg.check.enabled = checked;
-  cfg.obs.enabled = obs;
-  auto model = make_xkblas(rt::HeuristicConfig::xkblas());
-  return wall_of([&] {
-    for (int rep = 0; rep < reps; ++rep) {
-      const BenchResult r = model->run(cfg);
-      if (r.failed) std::exit(2);
-    }
-  });
+    return sec;
+  };
+  const auto aggregate = [&](const Section& sec) {
+    const double count = static_cast<double>(sec.runs.size());
+    return bench::object({{"runs", count},
+                          {"wall_seconds", sec.wall},
+                          {"runs_per_sec", per_sec(count, sec.wall)},
+                          {"events_per_sec", per_sec(sec.events, sec.wall)}});
+  };
+  const Section fig5 = section("blas"), wls = section("workload");
+  return bench::object(
+      {{"schema", prov.tag()},
+       {"provenance", bench::provenance(prov)},
+       {"trajectory",
+        bench::trajectory(
+            path, append, prov, mode,
+            {{"events_per_sec", per_sec(fig5.events, fig5.wall)},
+             {"runs_per_sec",
+              per_sec(static_cast<double>(fig5.runs.size()), fig5.wall)}},
+            "events_per_sec")},
+       {"mode", mode},
+       {"fig5", bench::object({{"n", n},
+                               {"tile", tile},
+                               {"runs", fig5.runs},
+                               {"aggregate", aggregate(fig5)}})},
+       {"workloads",
+        bench::object({{"runs", wls.runs}, {"aggregate", aggregate(wls)}})},
+       {"overhead", bench::object({{"reps", overhead_reps},
+                                   {"check_ratio", ovh.check},
+                                   {"obs_ratio", ovh.obs}})}});
 }
 
 }  // namespace
@@ -443,30 +360,34 @@ int main(int argc, char** argv) {
   std::uint64_t churn_chains = 0;  // 0 = mode default
   int reps = 0;                    // 0 = mode default
   double min_speedup = -1.0;       // <0 = mode default
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    else if (arg == "--append") append = true;
-    else if (arg == "--selfprof") selfprof = true;
-    else if (arg == "--out-engine" && i + 1 < argc) out_engine = argv[++i];
-    else if (arg == "--out-e2e" && i + 1 < argc) out_e2e = argv[++i];
-    else if (arg == "--out-selfprof" && i + 1 < argc)
-      out_selfprof = argv[++i];
-    else if (arg == "--churn-events" && i + 1 < argc)
-      churn_events = std::stoull(argv[++i]);
-    else if (arg == "--churn-chains" && i + 1 < argc)
-      churn_chains = std::stoull(argv[++i]);
-    else if (arg == "--reps" && i + 1 < argc) reps = std::stoi(argv[++i]);
-    else if (arg == "--min-speedup" && i + 1 < argc)
-      min_speedup = std::stod(argv[++i]);
-    else {
-      std::fprintf(stderr,
-                   "usage: perf_bench [--smoke] [--out-engine F] [--out-e2e F]"
-                   " [--churn-events N] [--churn-chains C] [--reps R]"
-                   " [--min-speedup X] [--append] [--selfprof]"
-                   " [--out-selfprof F]\n");
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--smoke") smoke = true;
+      else if (arg == "--append") append = true;
+      else if (arg == "--selfprof") selfprof = true;
+      else if (arg == "--out-engine" && i + 1 < argc) out_engine = argv[++i];
+      else if (arg == "--out-e2e" && i + 1 < argc) out_e2e = argv[++i];
+      else if (arg == "--out-selfprof" && i + 1 < argc)
+        out_selfprof = argv[++i];
+      else if (arg == "--churn-events" && i + 1 < argc)
+        churn_events = bench::parse_size(arg, argv[++i]);
+      else if (arg == "--churn-chains" && i + 1 < argc)
+        churn_chains = bench::parse_size(arg, argv[++i]);
+      else if (arg == "--reps" && i + 1 < argc)
+        reps = bench::parse_int(arg, argv[++i]);
+      else if (arg == "--min-speedup" && i + 1 < argc)
+        min_speedup = bench::parse_double(arg, argv[++i]);
+      else throw std::invalid_argument("unknown option " + arg);
     }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr,
+                 "%s\nusage: perf_bench [--smoke] [--out-engine F] "
+                 "[--out-e2e F] [--churn-events N] [--churn-chains C] "
+                 "[--reps R] [--min-speedup X] [--append] [--selfprof] "
+                 "[--out-selfprof F]\n",
+                 e.what());
+    return 2;
   }
   const char* mode = smoke ? "smoke" : "full";
   if (churn_events == 0) churn_events = smoke ? 200'000 : 2'000'000;
@@ -509,25 +430,10 @@ int main(int argc, char** argv) {
     all_identical = all_identical && p.identical;
     points.push_back(p);
   }
-  {
-    const obs::Provenance prov =
-        obs::Provenance::current("xkb.bench.engine", 2, 0);
-    const double gate_eps = eps_of(points.back().cal);
-    Trajectory traj;
-    if (append) traj = load_trajectory(out_engine);
-    warn_regression("engine calendar", traj, gate_eps);
-    const std::string cur = trajectory_point(
-        prov, mode, gate_eps, "speedup",
-        gate_eps / eps_of(points.back().legacy));
-    std::FILE* f = std::fopen(out_engine.c_str(), "w");
-    if (!f) {
-      std::perror(out_engine.c_str());
-      return 2;
-    }
-    emit_engine_json(f, mode, churn_events, reps, points, all_identical,
-                     prov.to_json(), traj, cur);
-    std::fclose(f);
-  }
+  if (!bench::write_artifact(out_engine,
+                             engine_json(mode, churn_events, reps, points,
+                                         all_identical, out_engine, append)))
+    return 2;
   std::printf("engine churn (%llu events, best of %d):\n",
               static_cast<unsigned long long>(churn_events), reps);
   for (const DepthPoint& p : points) {
@@ -587,126 +493,65 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  // ---- check/obs overhead ratios ----
+  // ---- check/obs/self-profiler overhead ratios ----
+  // The self-profiler's side also accumulates the per-phase profile that
+  // BENCH_selfprof.json reports.
   const int overhead_reps = smoke ? 3 : 20;
   BenchConfig ocfg;
   ocfg.routine = Blas3::kGemm;
   ocfg.n = smoke ? 8192 : 16384;
   ocfg.tile = 2048;
-  const double plain = overhead_wall(ocfg, false, false, overhead_reps);
-  const double checked = overhead_wall(ocfg, true, false, overhead_reps);
-  const double obsd = overhead_wall(ocfg, false, true, overhead_reps);
-  const double check_ratio = checked / plain;
-  const double obs_ratio = obsd / plain;
-
-  {
-    const obs::Provenance prov = obs::Provenance::current("xkb.bench.e2e", 2, 0);
-    double blas_wall_t = 0.0, blas_events = 0.0;
-    std::size_t blas_count = 0;
-    for (const E2eRow& r : rows)
-      if (r.kind == "blas") {
-        blas_wall_t += r.wall;
-        blas_events += static_cast<double>(r.res.events_processed);
-        ++blas_count;
-      }
-    const double e2e_eps = blas_wall_t > 0.0 ? blas_events / blas_wall_t : 0.0;
-    Trajectory traj;
-    if (append) traj = load_trajectory(out_e2e);
-    warn_regression("e2e fig5", traj, e2e_eps);
-    const std::string cur = trajectory_point(
-        prov, mode, e2e_eps, "runs_per_sec",
-        blas_wall_t > 0.0 ? blas_count / blas_wall_t : 0.0);
-    std::FILE* f = std::fopen(out_e2e.c_str(), "w");
-    if (!f) {
-      std::perror(out_e2e.c_str());
-      return 2;
-    }
-    emit_e2e_json(f, mode, n, tile, rows, overhead_reps, check_ratio,
-                  obs_ratio, prov.to_json(), traj, cur);
-    std::fclose(f);
+  prof::SelfProfiler sp;
+  const bench::Overhead ovh = bench::probe_overhead(
+      ocfg, overhead_reps, {true, true, selfprof ? &sp : nullptr});
+  if (!ovh.ok) {
+    std::fprintf(stderr, "overhead probe: a run failed\n");
+    return 2;
   }
-  double blas_wall = 0.0;
-  std::size_t blas_runs = 0;
-  for (const E2eRow& r : rows)
-    if (r.kind == "blas") {
-      blas_wall += r.wall;
-      ++blas_runs;
-    }
-  std::printf("e2e fig5 matrix: %zu runs in %.3fs (%.2f runs/sec)\n",
-              blas_runs, blas_wall,
-              blas_wall > 0.0 ? blas_runs / blas_wall : 0.0);
-  std::printf("overhead: check %.2fx, obs %.2fx (over %d reps)\n", check_ratio,
-              obs_ratio, overhead_reps);
+  const util::JsonValue e2e =
+      e2e_json(mode, n, tile, rows, overhead_reps, ovh, out_e2e, append);
+  if (!bench::write_artifact(out_e2e, e2e)) return 2;
+  const util::JsonValue& fig5 = e2e.at("fig5").at("aggregate");
+  std::printf("e2e fig5 matrix: %.0f runs in %.3fs (%.2f runs/sec)\n",
+              fig5.at("runs").as_number(),
+              fig5.at("wall_seconds").as_number(),
+              fig5.at("runs_per_sec").as_number());
+  std::printf("overhead: check %.2fx, obs %.2fx (median of %d reps)\n",
+              ovh.check, ovh.obs, overhead_reps);
   std::printf("wrote %s and %s\n", out_engine.c_str(), out_e2e.c_str());
 
   // ---- self-profiler sweep (--selfprof) ----
   if (selfprof) {
-    BenchConfig scfg;
-    scfg.routine = Blas3::kGemm;
-    scfg.n = smoke ? 8192 : 16384;
-    scfg.tile = 2048;
-    scfg.check.enabled = true;
-    auto model = make_xkblas(rt::HeuristicConfig::xkblas());
-    const int sp_reps = smoke ? 2 : 5;
-
-    // Hash invariance first: the profiler must be observably inert.  One
-    // checked run per side; any hash drift is a correctness failure.
-    const BenchResult off_run = model->run(scfg);
-    prof::SelfProfiler sp;
-    prof::SelfProfiler::activate(&sp);
-    const BenchResult on_run = model->run(scfg);
-    prof::SelfProfiler::activate(nullptr);
-    const bool hash_ok = !off_run.failed && !on_run.failed &&
-                         on_run.event_hash == off_run.event_hash;
-
-    // Attach overhead on unchecked runs (the checker's own cost would
-    // dilute the ratio); the accumulated profile from these reps is what
-    // the artifact reports.
-    BenchConfig wcfg = scfg;
-    wcfg.check.enabled = false;
-    const double wall_off = wall_of([&] {
-      for (int r = 0; r < sp_reps; ++r)
-        if (model->run(wcfg).failed) std::exit(2);
-    });
-    sp.clear();
-    prof::SelfProfiler::activate(&sp);
-    const double wall_on = wall_of([&] {
-      for (int r = 0; r < sp_reps; ++r)
-        if (model->run(wcfg).failed) std::exit(2);
-    });
-    prof::SelfProfiler::activate(nullptr);
-    const double sp_overhead = wall_off > 0.0 ? wall_on / wall_off : 0.0;
-
+    // The profiler must be observably inert: any hash drift between a
+    // checked run with and without it is a correctness failure.
+    const bench::HashCheck h = bench::selfprof_hash_check(ocfg);
     const obs::Provenance prov =
         obs::Provenance::current("xkb.bench.selfprof", 1, 0);
-    std::FILE* f = std::fopen(out_selfprof.c_str(), "w");
-    if (!f) {
-      std::perror(out_selfprof.c_str());
+    if (!bench::write_artifact(
+            out_selfprof,
+            bench::object(
+                {{"schema", prov.tag()},
+                 {"provenance", bench::provenance(prov)},
+                 {"mode", mode},
+                 {"sweep", bench::object({{"routine", "GEMM"},
+                                          {"n", ocfg.n},
+                                          {"tile", ocfg.tile},
+                                          {"reps", overhead_reps}})},
+                 {"hash_invariant", h.ok},
+                 {"overhead_ratio", ovh.selfprof},
+                 {"selfprof", util::json_parse(sp.to_json_fragment())}})))
       return 2;
-    }
-    std::fprintf(f, "{\n  \"schema\": \"xkb.bench.selfprof/1\",\n");
-    std::fprintf(f, "  \"provenance\": %s,\n", prov.to_json().c_str());
-    std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(f,
-                 "  \"sweep\": {\"routine\": \"GEMM\", \"n\": %zu, "
-                 "\"tile\": %zu, \"reps\": %d},\n",
-                 scfg.n, scfg.tile, sp_reps);
-    std::fprintf(f, "  \"hash_invariant\": %s,\n", hash_ok ? "true" : "false");
-    std::fprintf(f, "  \"overhead_ratio\": %.3f,\n", sp_overhead);
-    std::fprintf(f, "  \"selfprof\": %s\n}\n", sp.to_json_fragment().c_str());
-    std::fclose(f);
-
     std::printf(
         "self-profiler (GEMM n=%zu, %d reps): overhead %.2fx, hashes %s\n%s",
-        scfg.n, sp_reps, sp_overhead, hash_ok ? "identical" : "DIVERGED",
+        ocfg.n, overhead_reps, ovh.selfprof, h.ok ? "identical" : "DIVERGED",
         sp.table_text().c_str());
     std::printf("wrote %s\n", out_selfprof.c_str());
-    if (!hash_ok) {
+    if (!h.ok) {
       std::fprintf(stderr,
                    "FAIL: self-profiler attachment changed the pinned event "
                    "hash (%016llx vs %016llx)\n",
-                   static_cast<unsigned long long>(on_run.event_hash),
-                   static_cast<unsigned long long>(off_run.event_hash));
+                   static_cast<unsigned long long>(h.on),
+                   static_cast<unsigned long long>(h.off));
       return 4;
     }
   }

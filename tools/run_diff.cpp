@@ -23,8 +23,8 @@
 #include <utility>
 
 #include "baselines/library_model.hpp"
+#include "bench_io.hpp"
 #include "obs/ledger.hpp"
-#include "util/flops.hpp"
 
 using namespace xkb;
 using namespace xkb::baselines;
@@ -36,11 +36,13 @@ void usage() {
       "usage: run_diff <a.json> <b.json> [options]\n"
       "       run_diff --routine R [--n N] [--tile T] [--topo T] [options]\n"
       "  <a.json> <b.json>  two saved ledgers (schema xkb.obs.ledger/1)\n"
-      "  --routine R    gemm|symm|syrk|syr2k|trmm|trsm: run XKBlas (side A)\n"
-      "                 vs the no-heuristic/no-topo ablation (side B)\n"
+      "  --routine R    %s:\n"
+      "                 run XKBlas (side A) vs the no-heuristic/no-topo\n"
+      "                 ablation (side B)\n"
       "  --n N          matrix dimension (default 16384)\n"
       "  --tile T       tile size (default 2048)\n"
-      "  --topo T       dgx1|pcie|nvswitch|summit (default dgx1)\n"
+      "  --topo T       %s, a tdl preset or a .tpo file\n"
+      "                 (default dgx1)\n"
       "  --data-on-device   2D block-cyclic pre-distribution scenario\n"
       "  --emit-a F     write side A's ledger JSON to F (direct mode)\n"
       "  --emit-b F     write side B's ledger JSON to F (direct mode)\n"
@@ -49,25 +51,8 @@ void usage() {
       "                 at least fraction X of the makespan delta\n"
       "  --assert-deterministic exit 6 unless re-deriving the diff (and, in\n"
       "                 direct mode, re-running both sides) reproduces the\n"
-      "                 report byte for byte\n");
-}
-
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  throw std::invalid_argument("unknown topology: " + t);
-}
-
-Blas3 parse_routine(const std::string& r) {
-  if (r == "gemm") return Blas3::kGemm;
-  if (r == "symm") return Blas3::kSymm;
-  if (r == "syrk") return Blas3::kSyrk;
-  if (r == "syr2k") return Blas3::kSyr2k;
-  if (r == "trmm") return Blas3::kTrmm;
-  if (r == "trsm") return Blas3::kTrsm;
-  throw std::invalid_argument("unknown routine: " + r);
+      "                 report byte for byte\n",
+      bench::kRoutineNames, bench::kTopoNames);
 }
 
 /// One XKBlas-model run with observability and the checker attached (the
@@ -121,13 +106,14 @@ int main(int argc, char** argv) {
     try {
       if (arg == "--topo") topo_name = next();
       else if (arg == "--routine") routine = next();
-      else if (arg == "--n") n = std::stoul(next());
-      else if (arg == "--tile") tile = std::stoul(next());
+      else if (arg == "--n") n = bench::parse_size(arg, next());
+      else if (arg == "--tile") tile = bench::parse_size(arg, next());
       else if (arg == "--data-on-device") dod = true;
       else if (arg == "--emit-a") emit_a = next();
       else if (arg == "--emit-b") emit_b = next();
       else if (arg == "--json") json_path = next();
-      else if (arg == "--assert-coverage") assert_cov = std::stod(next());
+      else if (arg == "--assert-coverage")
+        assert_cov = bench::parse_double(arg, next());
       else if (arg == "--assert-deterministic") assert_det = true;
       else if (arg == "--help" || arg == "-h") { usage(); return 0; }
       else if (!arg.empty() && arg[0] == '-') {
@@ -158,8 +144,8 @@ int main(int argc, char** argv) {
   try {
     obs::RunLedger a, b;
     if (direct) {
-      const topo::Topology topo = parse_topo(topo_name);
-      const Blas3 r = parse_routine(routine);
+      const topo::Topology topo = bench::parse_topo(topo_name);
+      const Blas3 r = bench::parse_routine(routine);
       a = run_ledger("xkblas", r, n, tile, topo,
                      rt::HeuristicConfig::xkblas(), dod);
       b = run_ledger("nohint-notopo", r, n, tile, topo,
@@ -186,8 +172,8 @@ int main(int argc, char** argv) {
       // in ledgers, diff, text, or JSON fails the gate.
       obs::RunLedger a2, b2;
       if (direct) {
-        const topo::Topology topo = parse_topo(topo_name);
-        const Blas3 r = parse_routine(routine);
+        const topo::Topology topo = bench::parse_topo(topo_name);
+        const Blas3 r = bench::parse_routine(routine);
         a2 = run_ledger("xkblas", r, n, tile, topo,
                         rt::HeuristicConfig::xkblas(), dod);
         b2 = run_ledger("nohint-notopo", r, n, tile, topo,

@@ -7,8 +7,10 @@
 //   .svt file via --trace) into a Service over one shared dgx1 platform
 //   and reports per-tenant latency percentiles, rejection / retry /
 //   dead-letter counts and device utilization.  --json writes the
-//   BENCH_service.json artifact (schema xkb.bench.service/1, with
-//   obs::Provenance and a --append trajectory like perf_bench's).
+//   BENCH_service.json artifact (schema xkb.bench.service/2, with
+//   obs::Provenance and a --append trajectory like perf_bench's): the
+//   virtual-time goodput (virtual_goodput_jps) next to the host-time rate
+//   the simulator sustained (host_jobs_per_sec).
 //
 //   Gates (all exit nonzero on failure, for ctest / CI):
 //     --rerun         run the identical soak twice and require bit-identity
@@ -20,12 +22,12 @@
 //                     checker must stay clean
 //
 // Everything runs in virtual time from the trace's seed: two invocations
-// with the same flags produce byte-identical artifacts.
+// with the same flags produce byte-identical artifacts except for the
+// host_jobs_per_sec reading.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_io.hpp"
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
 #include "obs/ledger.hpp"
@@ -41,9 +44,7 @@
 #include "runtime/runtime.hpp"
 #include "svc/arrivals.hpp"
 #include "svc/svc.hpp"
-#include "tdl/presets.hpp"
 #include "topo/topology.hpp"
-#include "util/json.hpp"
 #include "workload/workload.hpp"
 
 using namespace xkb;
@@ -73,7 +74,7 @@ void usage() {
       "  --fault-plan F     inject a FaultPlan file during the soak\n"
       "  --check            attach xkb::check (violations fail the run)\n"
       "  --rerun            gate bit-identical rerun (hash+ledger+stats)\n"
-      "  --json F           write the BENCH artifact (xkb.bench.service/1)\n"
+      "  --json F           write the BENCH artifact (xkb.bench.service/2)\n"
       "  --append           preserve F's existing trajectory points\n"
       "  --ledger F         write the obs run ledger (run_diff input)\n");
 }
@@ -100,12 +101,6 @@ struct Cfg {
   bool append = false;
   const char* mode = "soak";
 };
-
-topo::Topology make_topo(const std::string& t) {
-  if (t.size() > 4 && t.compare(t.size() - 4, 4, ".tpo") == 0)
-    return topo::Topology::from_tpo_file(t);
-  return topo::Topology::from_machine(tdl::preset_machine(t));
-}
 
 /// The canonical tenant mix for generated soaks: an interactive tenant
 /// with tight deadlines and top priority, a batch tier, and bulk
@@ -210,7 +205,7 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
   popt.functional = false;
   popt.kernel_streams = 2;
   popt.device_capacity = 32ull << 30;
-  rt::Platform plat(make_topo(cfg.topo), perf, popt);
+  rt::Platform plat(bench::parse_topo(cfg.topo), perf, popt);
 
   auto o = std::make_shared<obs::Observability>(plat.num_gpus());
   plat.set_obs(o.get());  // before the Runtime: it caches series pointers
@@ -310,152 +305,124 @@ RunOut run_soak(const Cfg& cfg, const svc::ArrivalTrace& trace,
 
 // --- artifact ------------------------------------------------------------
 
-struct Trajectory {
-  std::vector<std::string> points;
-  double prev_jps = -1.0;
-};
-
-Trajectory load_trajectory(const std::string& path) {
-  Trajectory t;
-  try {
-    const util::JsonValue doc = util::json_parse_file(path);
-    if (const util::JsonValue* traj = doc.find("trajectory")) {
-      for (const util::JsonValue& p : traj->as_array()) {
-        t.points.push_back(util::json_dump(p));
-        t.prev_jps = p.number_or("jobs_per_sec", t.prev_jps);
-      }
-    }
-  } catch (const std::exception&) {
-    // Missing file or pre-trajectory schema: start a fresh trajectory.
-  }
-  return t;
+double goodput(const RunOut& r) {
+  return r.span > 0.0 ? static_cast<double>(r.stats.completed) / r.span
+                      : 0.0;
 }
 
-void emit_tenant(std::FILE* f, const TenantOut& t, bool last) {
+util::JsonValue rejected_json(std::uint64_t queue_full, std::uint64_t quota,
+                              std::uint64_t brownout) {
+  return bench::object(
+      {{"queue_full", queue_full}, {"quota", quota}, {"brownout", brownout}});
+}
+
+util::JsonValue tenant_json(const TenantOut& t) {
   const svc::TenantStats& s = t.stats;
-  std::fprintf(
-      f,
-      "    {\"name\": \"%s\", \"priority\": %d, \"share\": %g,\n"
-      "     \"submitted\": %llu, \"admitted\": %llu, \"completed\": %llu,\n"
-      "     \"rejected\": {\"queue_full\": %llu, \"quota\": %llu, "
-      "\"brownout\": %llu},\n"
-      "     \"expired\": %llu, \"retries\": %llu, \"dead_letters\": %llu, "
-      "\"deadline_miss\": %llu,\n"
-      "     \"latency_ms\": {\"count\": %zu, \"p50\": %.6f, \"p95\": %.6f, "
-      "\"p99\": %.6f, \"max\": %.6f}}%s\n",
-      t.spec.name.c_str(), t.spec.priority, t.spec.share,
-      static_cast<unsigned long long>(s.submitted),
-      static_cast<unsigned long long>(s.admitted),
-      static_cast<unsigned long long>(s.completed),
-      static_cast<unsigned long long>(s.rejected_queue_full),
-      static_cast<unsigned long long>(s.rejected_quota),
-      static_cast<unsigned long long>(s.rejected_brownout),
-      static_cast<unsigned long long>(s.expired),
-      static_cast<unsigned long long>(s.retries),
-      static_cast<unsigned long long>(s.dead_letters),
-      static_cast<unsigned long long>(s.deadline_miss), t.latencies.size(),
-      1e3 * percentile(t.latencies, 50), 1e3 * percentile(t.latencies, 95),
-      1e3 * percentile(t.latencies, 99),
-      1e3 * (t.latencies.empty()
-                 ? 0.0
-                 : *std::max_element(t.latencies.begin(), t.latencies.end())),
-      last ? "" : ",");
+  const double max = t.latencies.empty() ? 0.0
+                                         : *std::max_element(
+                                               t.latencies.begin(),
+                                               t.latencies.end());
+  return bench::object(
+      {{"name", t.spec.name}, {"priority", t.spec.priority},
+       {"share", t.spec.share}, {"submitted", s.submitted},
+       {"admitted", s.admitted}, {"completed", s.completed},
+       {"rejected", rejected_json(s.rejected_queue_full, s.rejected_quota,
+                                  s.rejected_brownout)},
+       {"expired", s.expired}, {"retries", s.retries},
+       {"dead_letters", s.dead_letters}, {"deadline_miss", s.deadline_miss},
+       {"latency_ms",
+        bench::object({{"count", t.latencies.size()},
+                       {"p50", 1e3 * percentile(t.latencies, 50)},
+                       {"p95", 1e3 * percentile(t.latencies, 95)},
+                       {"p99", 1e3 * percentile(t.latencies, 99)},
+                       {"max", 1e3 * max}})}});
 }
 
-void emit_json(std::FILE* f, const Cfg& cfg, const svc::ArrivalTrace& trace,
-               const RunOut& r, const Trajectory& traj, int rerun_identical) {
+/// The BENCH_service.json body.  `host_s` is the host wall time of the
+/// soak; `rerun_identical` is -1 when no rerun was asked for.
+util::JsonValue service_json(const Cfg& cfg, const svc::ArrivalTrace& trace,
+                             const RunOut& r, double host_s,
+                             int rerun_identical) {
   const obs::Provenance prov =
-      obs::Provenance::current("xkb.bench.service", 1, trace.seed);
-  const double jps =
-      r.span > 0.0 ? static_cast<double>(r.stats.completed) / r.span : 0.0;
+      obs::Provenance::current("xkb.bench.service", 2, trace.seed);
+  const double host_jps =
+      host_s > 0.0 ? static_cast<double>(r.stats.completed) / host_s : 0.0;
   std::vector<double> all;
   for (const TenantOut& t : r.tenants)
     all.insert(all.end(), t.latencies.begin(), t.latencies.end());
-  const double p50 = 1e3 * percentile(all, 50);
-  const double p99 = 1e3 * percentile(all, 99);
-
-  std::fprintf(f, "{\n  \"schema\": \"xkb.bench.service/1\",\n");
-  std::fprintf(f, "  \"provenance\": %s,\n", prov.to_json().c_str());
-  std::fprintf(f, "  \"trajectory\": [\n");
-  for (const std::string& p : traj.points)
-    std::fprintf(f, "    %s,\n", p.c_str());
-  char cur[320];
-  std::snprintf(cur, sizeof cur,
-                "{\"git\": \"%s\", \"date\": \"%s\", \"mode\": \"%s\", "
-                "\"jobs_per_sec\": %.0f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}",
-                prov.git.c_str(), prov.date.c_str(), cfg.mode, jps, p50, p99);
-  std::fprintf(f, "    %s\n  ],\n", cur);
-  std::fprintf(f, "  \"mode\": \"%s\",\n  \"policy\": \"%s\",\n", cfg.mode,
-               svc::to_string(cfg.policy));
-  std::fprintf(
-      f,
-      "  \"config\": {\"jobs\": %zu, \"seed\": %llu, \"tenants\": %zu, "
-      "\"rate_hz\": %g, \"max_running\": %d, \"global_queue_cap\": %zu},\n",
-      trace.arrivals.size(), static_cast<unsigned long long>(trace.seed),
-      trace.tenants.size(), cfg.rate_hz, cfg.max_running,
-      cfg.global_queue_cap);
   const svc::ServiceStats& s = r.stats;
-  std::fprintf(
-      f,
-      "  \"soak\": {\"span_s\": %.6f, \"jobs_per_sec\": %.0f,\n"
-      "    \"submitted\": %llu, \"admitted\": %llu, \"completed\": %llu,\n"
-      "    \"rejected\": {\"queue_full\": %llu, \"quota\": %llu, "
-      "\"brownout\": %llu},\n"
-      "    \"expired\": %llu, \"retries\": %llu, \"dead_letters\": %llu, "
-      "\"deadline_miss\": %llu,\n"
-      "    \"brownout\": {\"enters\": %llu, \"exits\": %llu},\n"
-      "    \"runtime_faults\": %llu, \"aborted_attempts\": %llu,\n"
-      "    \"peak_queued\": %zu, \"tasks\": %llu, \"task_remaps\": %llu, "
-      "\"task_replays\": %llu,\n"
-      "    \"events\": %llu, \"event_hash\": %llu,\n"
-      "    \"check\": {\"enabled\": %s, \"ok\": %s, \"violations\": %zu},\n"
-      "    \"rerun_identical\": %s,\n",
-      r.span, jps, static_cast<unsigned long long>(s.submitted),
-      static_cast<unsigned long long>(s.admitted),
-      static_cast<unsigned long long>(s.completed),
-      static_cast<unsigned long long>(s.rejected_queue_full),
-      static_cast<unsigned long long>(s.rejected_quota),
-      static_cast<unsigned long long>(s.rejected_brownout),
-      static_cast<unsigned long long>(s.expired),
-      static_cast<unsigned long long>(s.retries),
-      static_cast<unsigned long long>(s.dead_letters),
-      static_cast<unsigned long long>(s.deadline_miss),
-      static_cast<unsigned long long>(s.brownout_enters),
-      static_cast<unsigned long long>(s.brownout_exits),
-      static_cast<unsigned long long>(s.runtime_faults),
-      static_cast<unsigned long long>(s.aborted_attempts), r.peak_queued,
-      static_cast<unsigned long long>(r.tasks),
-      static_cast<unsigned long long>(r.task_remaps),
-      static_cast<unsigned long long>(r.task_replays),
-      static_cast<unsigned long long>(r.events),
-      static_cast<unsigned long long>(r.event_hash),
-      r.check_enabled ? "true" : "false", r.check_ok ? "true" : "false",
-      r.check_violations,
-      rerun_identical < 0 ? "null" : (rerun_identical ? "true" : "false"));
-  std::fprintf(f, "    \"utilization\": {\"mean\": %.4f, \"per_gpu\": [",
-               r.util_mean);
-  for (std::size_t g = 0; g < r.util.size(); ++g)
-    std::fprintf(f, "%.4f%s", r.util[g], g + 1 < r.util.size() ? ", " : "");
-  std::fprintf(f, "]}},\n");
-  std::fprintf(f, "  \"tenants\": [\n");
-  for (std::size_t t = 0; t < r.tenants.size(); ++t)
-    emit_tenant(f, r.tenants[t], t + 1 == r.tenants.size());
-  std::fprintf(f, "  ]\n}\n");
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx",
+                static_cast<unsigned long long>(r.event_hash));
+  util::JsonArray per_gpu, tenants;
+  for (double u : r.util) per_gpu.emplace_back(u);
+  for (const TenantOut& t : r.tenants) tenants.push_back(tenant_json(t));
+  return bench::object(
+      {{"schema", prov.tag()},
+       {"provenance", bench::provenance(prov)},
+       {"trajectory",
+        bench::trajectory(cfg.json_path, cfg.append, prov, cfg.mode,
+                          {{"virtual_goodput_jps", goodput(r)},
+                           {"host_jobs_per_sec", host_jps},
+                           {"p50_ms", 1e3 * percentile(all, 50)},
+                           {"p99_ms", 1e3 * percentile(all, 99)}},
+                          "virtual_goodput_jps")},
+       {"mode", cfg.mode},
+       {"policy", svc::to_string(cfg.policy)},
+       {"config", bench::object({{"jobs", trace.arrivals.size()},
+                                 {"seed", trace.seed},
+                                 {"tenants", trace.tenants.size()},
+                                 {"rate_hz", cfg.rate_hz},
+                                 {"max_running", cfg.max_running},
+                                 {"global_queue_cap", cfg.global_queue_cap}})},
+       {"soak",
+        bench::object(
+            {{"span_s", r.span},
+             {"virtual_goodput_jps", goodput(r)},
+             {"host_jobs_per_sec", host_jps},
+             {"submitted", s.submitted},
+             {"admitted", s.admitted},
+             {"completed", s.completed},
+             {"rejected", rejected_json(s.rejected_queue_full,
+                                        s.rejected_quota,
+                                        s.rejected_brownout)},
+             {"expired", s.expired},
+             {"retries", s.retries},
+             {"dead_letters", s.dead_letters},
+             {"deadline_miss", s.deadline_miss},
+             {"brownout", bench::object({{"enters", s.brownout_enters},
+                                         {"exits", s.brownout_exits}})},
+             {"runtime_faults", s.runtime_faults},
+             {"aborted_attempts", s.aborted_attempts},
+             {"peak_queued", r.peak_queued},
+             {"tasks", r.tasks},
+             {"task_remaps", r.task_remaps},
+             {"task_replays", r.task_replays},
+             {"events", r.events},
+             {"event_hash", std::string(hash)},
+             {"check", bench::object({{"enabled", r.check_enabled},
+                                      {"ok", r.check_ok},
+                                      {"violations", r.check_violations}})},
+             {"rerun_identical", rerun_identical < 0
+                                     ? util::JsonValue()
+                                     : util::JsonValue(rerun_identical == 1)},
+             {"utilization",
+              bench::object({{"mean", r.util_mean},
+                             {"per_gpu", std::move(per_gpu)}})}})},
+       {"tenants", std::move(tenants)}});
 }
 
 void print_summary(const Cfg& cfg, const svc::ArrivalTrace& trace,
-                   const RunOut& r) {
+                   const RunOut& r, double host_s) {
   const svc::ServiceStats& s = r.stats;
   std::printf(
       "service_bench: %zu arrivals, %zu tenants, policy=%s, seed=%llu\n",
       trace.arrivals.size(), trace.tenants.size(), svc::to_string(cfg.policy),
       static_cast<unsigned long long>(trace.seed));
   std::printf(
-      "  span %.3f ms  |  %.0f jobs/s  |  util(mean) %.1f%%  |  peak queue "
-      "%zu\n",
-      1e3 * r.span,
-      r.span > 0.0 ? static_cast<double>(s.completed) / r.span : 0.0,
-      100.0 * r.util_mean, r.peak_queued);
+      "  span %.3f ms  |  %.0f jobs/s virtual  |  util(mean) %.1f%%  |  "
+      "peak queue %zu  |  host %.3f s\n",
+      1e3 * r.span, goodput(r), 100.0 * r.util_mean, r.peak_queued, host_s);
   std::printf(
       "  admitted %llu/%llu  completed %llu  dead-letters %llu  retries %llu "
       " expired %llu\n",
@@ -522,19 +489,19 @@ int main(int argc, char** argv) {
         cfg.check = true;
         cfg.mode = "degrade";
       } else if (arg == "--jobs") {
-        cfg.jobs = std::stoul(next());
+        cfg.jobs = bench::parse_size(arg, next());
       } else if (arg == "--seed") {
-        cfg.seed = std::stoull(next());
+        cfg.seed = bench::parse_size(arg, next());
       } else if (arg == "--tenants") {
-        cfg.tenants = std::stoi(next());
+        cfg.tenants = bench::parse_int(arg, next());
       } else if (arg == "--rate") {
-        cfg.rate_hz = std::stod(next());
+        cfg.rate_hz = bench::parse_double(arg, next());
       } else if (arg == "--policy") {
         cfg.policy = svc::arbitration_from(next());
       } else if (arg == "--max-running") {
-        cfg.max_running = std::stoi(next());
+        cfg.max_running = bench::parse_int(arg, next());
       } else if (arg == "--queue-cap") {
-        cfg.global_queue_cap = std::stoul(next());
+        cfg.global_queue_cap = bench::parse_size(arg, next());
       } else if (arg == "--topo") {
         cfg.topo = next();
       } else if (arg == "--trace") {
@@ -611,7 +578,9 @@ int main(int argc, char** argv) {
       plan.seed = trace.seed;
     }
 
-    const RunOut r = run_soak(cfg, trace, plan);
+    RunOut r;
+    const double host_s =
+        bench::wall_of([&] { r = run_soak(cfg, trace, plan); });
     int rerun_identical = -1;
     if (cfg.rerun) {
       const RunOut r2 = run_soak(cfg, trace, plan);
@@ -622,7 +591,7 @@ int main(int argc, char** argv) {
                             : 0;
     }
 
-    print_summary(cfg, trace, r);
+    print_summary(cfg, trace, r, host_s);
 
     if (!cfg.ledger_path.empty()) {
       std::ofstream f(cfg.ledger_path);
@@ -633,26 +602,11 @@ int main(int argc, char** argv) {
       }
       f << r.ledger_json;
     }
-    if (!cfg.json_path.empty()) {
-      Trajectory traj;
-      if (cfg.append) traj = load_trajectory(cfg.json_path);
-      std::FILE* f = std::fopen(cfg.json_path.c_str(), "w");
-      if (!f) {
-        std::fprintf(stderr, "service_bench: cannot write '%s'\n",
-                     cfg.json_path.c_str());
-        return 2;
-      }
-      emit_json(f, cfg, trace, r, traj, rerun_identical);
-      std::fclose(f);
-      const double jps =
-          r.span > 0.0 ? static_cast<double>(r.stats.completed) / r.span
-                       : 0.0;
-      if (traj.prev_jps > 0.0 && jps < 0.85 * traj.prev_jps)
-        std::fprintf(stderr,
-                     "WARNING: jobs/sec regressed %.1f%% vs the previous "
-                     "trajectory point (%.0f -> %.0f)\n",
-                     100.0 * (1.0 - jps / traj.prev_jps), traj.prev_jps, jps);
-    }
+    if (!cfg.json_path.empty() &&
+        !bench::write_artifact(
+            cfg.json_path,
+            service_json(cfg, trace, r, host_s, rerun_identical)))
+      return 2;
 
     if (rerun_identical == 0) {
       std::fprintf(stderr,

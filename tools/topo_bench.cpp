@@ -19,21 +19,18 @@
 //
 // --smoke stops the sweep at 64 devices for a seconds-long ctest entry;
 // the CI topology job runs the full 1024-device soak.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/provenance.hpp"
+#include "bench_io.hpp"
 #include "runtime/runtime.hpp"
 #include "tdl/presets.hpp"
 #include "topo/topology.hpp"
-#include "util/json.hpp"
 #include "workload/bridge.hpp"
 #include "workload/workload.hpp"
 
@@ -105,15 +102,13 @@ Point run_scale(int nodes, int gpus_per_node) {
   };
   wl::Bridge bridge(runtime, g, std::move(bopt));
 
-  const auto t0 = std::chrono::steady_clock::now();
-  bridge.emit();
-  bridge.coherent();
-  runtime.run();
-  const auto t1 = std::chrono::steady_clock::now();
-
+  p.wall_s = bench::wall_of([&] {
+    bridge.emit();
+    bridge.coherent();
+    runtime.run();
+  });
   p.tasks = g.tasks.size();
   p.sim_events = plat.engine().events_processed();
-  p.wall_s = std::chrono::duration<double>(t1 - t0).count();
   p.events_per_sec =
       p.wall_s > 0 ? static_cast<double>(p.sim_events) / p.wall_s : 0.0;
   p.rss_kb = peak_rss_kb();
@@ -125,25 +120,6 @@ Point run_scale(int nodes, int gpus_per_node) {
     p.check_report = c->report();
   }
   return p;
-}
-
-// ------------------------------------------------- trajectory (--append) --
-
-struct Trajectory {
-  std::vector<std::string> points;
-};
-
-Trajectory load_trajectory(const std::string& path) {
-  Trajectory t;
-  try {
-    const util::JsonValue doc = util::json_parse_file(path);
-    if (const util::JsonValue* traj = doc.find("trajectory"))
-      for (const util::JsonValue& p : traj->as_array())
-        t.points.push_back(util::json_dump(p));
-  } catch (const std::exception&) {
-    // Missing file or older schema: start fresh.
-  }
-  return t;
 }
 
 }  // namespace
@@ -220,51 +196,34 @@ int main(int argc, char** argv) {
   }
   if (!mem_ok) return 5;
 
-  const obs::Provenance prov =
-      obs::Provenance::current("xkb.bench.topo", 1);
-  const Trajectory traj = append ? load_trajectory(out) : Trajectory{};
+  const obs::Provenance prov = obs::Provenance::current("xkb.bench.topo", 1);
+  const char* mode = smoke ? "smoke" : "full";
   const Point& top = points.back();
-  char cur[256];
-  std::snprintf(cur, sizeof cur,
-                "{\"git\": \"%s\", \"date\": \"%s\", \"mode\": \"%s\", "
-                "\"devices\": %d, \"events_per_sec\": %.0f, "
-                "\"sparse_bytes\": %zu}",
-                prov.git.c_str(), prov.date.c_str(),
-                smoke ? "smoke" : "full", top.devices, top.events_per_sec,
-                top.sparse_bytes);
-
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "topo_bench: cannot write '%s'\n", out.c_str());
-    return 2;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"xkb.bench.topo/1\",\n");
-  std::fprintf(f, "  \"provenance\": %s,\n", prov.to_json().c_str());
-  std::fprintf(f, "  \"trajectory\": [\n");
-  for (const std::string& p : traj.points)
-    std::fprintf(f, "    %s,\n", p.c_str());
-  std::fprintf(f, "    %s\n  ],\n", cur);
-  std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const Point& p = points[i];
-    std::fprintf(
-        f,
-        "    {\"devices\": %d, \"machine\": \"%s\", \"tasks\": %zu, "
-        "\"sim_events\": %llu, \"wall_s\": %.6f, \"events_per_sec\": %.0f, "
-        "\"peak_rss_kb\": %zu, \"sparse_bytes\": %zu, \"dense_bytes\": %zu, "
-        "\"bytes_per_device\": %.1f, \"fabric_rows\": %zu, "
-        "\"check_ok\": true}%s\n",
-        p.devices, p.machine.c_str(), p.tasks,
-        static_cast<unsigned long long>(p.sim_events), p.wall_s,
-        p.events_per_sec, p.rss_kb, p.sparse_bytes, p.dense_bytes,
-        static_cast<double>(p.sparse_bytes) / p.devices, p.fabric_rows,
-        i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gates\": {\"check\": \"ok\", \"sparse_vs_dense\": "
-                  "\"ok\", \"per_device_bounded\": \"ok\"}\n}\n");
-  std::fclose(f);
+  util::JsonArray rows;
+  for (const Point& p : points)
+    rows.push_back(bench::object(
+        {{"devices", p.devices}, {"machine", p.machine}, {"tasks", p.tasks},
+         {"sim_events", p.sim_events}, {"wall_s", p.wall_s},
+         {"events_per_sec", p.events_per_sec}, {"peak_rss_kb", p.rss_kb},
+         {"sparse_bytes", p.sparse_bytes}, {"dense_bytes", p.dense_bytes},
+         {"bytes_per_device",
+          static_cast<double>(p.sparse_bytes) / p.devices},
+         {"fabric_rows", p.fabric_rows}, {"check_ok", true}}));
+  const util::JsonValue doc = bench::object(
+      {{"schema", prov.tag()},
+       {"provenance", bench::provenance(prov)},
+       {"trajectory", bench::trajectory(
+                          out, append, prov, mode,
+                          {{"devices", top.devices},
+                           {"events_per_sec", top.events_per_sec},
+                           {"sparse_bytes", top.sparse_bytes}},
+                          "events_per_sec")},
+       {"mode", mode},
+       {"points", std::move(rows)},
+       {"gates", bench::object({{"check", "ok"},
+                                {"sparse_vs_dense", "ok"},
+                                {"per_device_bounded", "ok"}})}});
+  if (!bench::write_artifact(out, doc)) return 2;
   std::printf("topo_bench: wrote %s\n", out.c_str());
   return 0;
 }

@@ -21,6 +21,7 @@
 #include <utility>
 
 #include "baselines/library_model.hpp"
+#include "bench_io.hpp"
 #include "obs/report.hpp"
 #include "trace/export.hpp"
 
@@ -35,35 +36,19 @@ void usage() {
       "       trace_report --routine R --n N [--tile T] [--topo T] "
       "[--json F]\n"
       "  <trace.csv>    a file written from trace::to_csv (e.g. by tests)\n"
-      "  --routine R    gemm|symm|syrk|syr2k|trmm|trsm (compare mode:\n"
+      "  --routine R    %s (compare mode:\n"
       "                 XKBlas vs the no-heuristic/no-topo ablation)\n"
       "  --n N          matrix dimension (default 16384)\n"
       "  --tile T       tile size (default 2048)\n"
-      "  --topo T       dgx1|pcie|nvswitch|summit (default dgx1)\n"
+      "  --topo T       %s, a tdl preset or a .tpo file\n"
+      "                 (default dgx1)\n"
       "  --data-on-device   2D block-cyclic pre-distribution scenario\n"
       "  --cp-ops       print every operation on the critical path\n"
       "  --assert-nvlink-shift  exit 5 unless the heuristics-on run puts a\n"
       "                 strictly higher share of critical-path transfer\n"
       "                 time on NVLink than the ablation (CI gate)\n"
-      "  --json F       also write the report(s) as JSON to F\n");
-}
-
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  throw std::invalid_argument("unknown topology: " + t);
-}
-
-Blas3 parse_routine(const std::string& r) {
-  if (r == "gemm") return Blas3::kGemm;
-  if (r == "symm") return Blas3::kSymm;
-  if (r == "syrk") return Blas3::kSyrk;
-  if (r == "syr2k") return Blas3::kSyr2k;
-  if (r == "trmm") return Blas3::kTrmm;
-  if (r == "trsm") return Blas3::kTrsm;
-  throw std::invalid_argument("unknown routine: " + r);
+      "  --json F       also write the report(s) as JSON to F\n",
+      bench::kRoutineNames, bench::kTopoNames);
 }
 
 struct DirectRun {
@@ -116,32 +101,32 @@ int main(int argc, char** argv) {
   std::size_t n = 16384, tile = 2048;
   bool dod = false, cp_ops = false, assert_shift = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--topo") topo_name = next();
-    else if (arg == "--json") json_path = next();
-    else if (arg == "--routine") routine = next();
-    else if (arg == "--n") n = std::stoul(next());
-    else if (arg == "--tile") tile = std::stoul(next());
-    else if (arg == "--data-on-device") dod = true;
-    else if (arg == "--cp-ops") cp_ops = true;
-    else if (arg == "--assert-nvlink-shift") assert_shift = true;
-    else if (arg == "--help" || arg == "-h") { usage(); return 0; }
-    else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      usage();
-      return 2;
-    } else {
-      csv_path = arg;
-    }
-  }
-
   try {
-    const topo::Topology topo = parse_topo(topo_name);
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) throw std::invalid_argument(arg + " needs a value");
+        return argv[++i];
+      };
+      if (arg == "--topo") topo_name = next();
+      else if (arg == "--json") json_path = next();
+      else if (arg == "--routine") routine = next();
+      else if (arg == "--n") n = bench::parse_size(arg, next());
+      else if (arg == "--tile") tile = bench::parse_size(arg, next());
+      else if (arg == "--data-on-device") dod = true;
+      else if (arg == "--cp-ops") cp_ops = true;
+      else if (arg == "--assert-nvlink-shift") assert_shift = true;
+      else if (arg == "--help" || arg == "-h") { usage(); return 0; }
+      else if (!arg.empty() && arg[0] == '-') {
+        std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+        usage();
+        return 2;
+      } else {
+        csv_path = arg;
+      }
+    }
+
+    const topo::Topology topo = bench::parse_topo(topo_name);
 
     if (!csv_path.empty()) {
       // Saved-trace mode: per-link stats re-derived from the records.
@@ -168,7 +153,7 @@ int main(int argc, char** argv) {
     }
 
     // Compare mode: both heuristics on vs the paper's full ablation.
-    const Blas3 r = parse_routine(routine);
+    const Blas3 r = bench::parse_routine(routine);
     const DirectRun on =
         run_report(r, n, tile, topo, rt::HeuristicConfig::xkblas(), dod);
     const DirectRun off =

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "baselines/workload_entry.hpp"
+#include "bench_io.hpp"
 #include "obs/provenance.hpp"
 #include "obs/report.hpp"
 #include "workload/workload.hpp"
@@ -50,16 +51,9 @@ void usage() {
       "  --emit SPEC        build a generator graph ...\n"
       "  --out F            ... and write it as canonical .wlg to F\n"
       "  --json F           write the run rows as a JSON artifact (--check)\n"
-      "  --topo T           dgx1|pcie|nvswitch|summit (default dgx1)\n");
-}
-
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  throw std::invalid_argument("unknown topology '" + t +
-                              "' (accepted: dgx1|pcie|nvswitch|summit)");
+      "  --topo T           %s, a tdl preset or a .tpo\n"
+      "                     file (default dgx1)\n",
+      bench::kTopoNames);
 }
 
 /// The sweep's library column: the three Fig. 3 heuristic variants.
@@ -81,21 +75,12 @@ std::vector<std::string> sweep_specs() {
           "tree",      "random",     "dnn",     "composition:n=8192,tile=2048"};
 }
 
-struct SweepRow {
-  std::string workload, lib, scenario;
-  bool ok = false;
-  std::string error;
-  double seconds = 0.0, tflops = 0.0;
-  std::size_t tasks = 0, h2d = 0, d2d = 0, d2h = 0, optimistic_waits = 0;
-};
-
 /// One XKBlas-model run with observability, reduced to the gate's numbers.
 struct GateRun {
   double span = 0.0;
   double pcie_host_bytes = 0.0;
   double nvlink_bytes = 0.0;
   double nvlink_cp_share = 0.0;
-  std::string json;
 };
 
 GateRun run_gate(const wl::WorkloadGraph& g, const topo::Topology& topo,
@@ -118,7 +103,6 @@ GateRun run_gate(const wl::WorkloadGraph& g, const topo::Topology& topo,
       r.nvlink_bytes += static_cast<double>(row.bytes);
   }
   r.nvlink_cp_share = rep.cp.nvlink_share();
-  r.json = obs::report_json(rep, res.obs.get());
   return r;
 }
 
@@ -140,10 +124,8 @@ std::vector<GateCase> gate_specs() {
           {"dnn:width=8,depth=10,flops=1e8,bytes=16777216", true}};
 }
 
-int run_ablation_gate(const topo::Topology& topo, std::string* json_rows) {
+int run_ablation_gate(const topo::Topology& topo, util::JsonArray* rows) {
   int rc = 0;
-  std::ostringstream js;
-  bool first = true;
   for (const GateCase& gc : gate_specs()) {
     const wl::WorkloadGraph g = wl::build(wl::WorkloadSpec::parse(gc.spec));
     const GateRun on =
@@ -183,22 +165,17 @@ int run_ablation_gate(const topo::Topology& topo, std::string* json_rows) {
       rc = 5;
     }
 
-    if (json_rows) {
-      if (!first) js << ",\n";
-      first = false;
-      js << "  {\"workload\": \"" << g.name << "\", \"scenario\": \""
-         << scenario << "\""
-         << ", \"xkblas\": {\"makespan\": " << on.span
-         << ", \"pcie_host_bytes\": " << on.pcie_host_bytes
-         << ", \"nvlink_bytes\": " << on.nvlink_bytes
-         << ", \"nvlink_cp_share\": " << on.nvlink_cp_share << "}"
-         << ", \"ablation\": {\"makespan\": " << off.span
-         << ", \"pcie_host_bytes\": " << off.pcie_host_bytes
-         << ", \"nvlink_bytes\": " << off.nvlink_bytes
-         << ", \"nvlink_cp_share\": " << off.nvlink_cp_share << "}}";
-    }
+    const auto side = [](const GateRun& r) {
+      return bench::object({{"makespan", r.span},
+                            {"pcie_host_bytes", r.pcie_host_bytes},
+                            {"nvlink_bytes", r.nvlink_bytes},
+                            {"nvlink_cp_share", r.nvlink_cp_share}});
+    };
+    rows->push_back(bench::object({{"workload", g.name},
+                                   {"scenario", scenario},
+                                   {"xkblas", side(on)},
+                                   {"ablation", side(off)}}));
   }
-  if (json_rows) *json_rows = js.str();
   return rc;
 }
 
@@ -237,7 +214,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const topo::Topology topo = parse_topo(topo_name);
+    const topo::Topology topo = bench::parse_topo(topo_name);
 
     if (!emit_spec.empty()) {
       if (out_path.empty())
@@ -283,7 +260,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    std::vector<SweepRow> rows;
+    util::JsonArray runs, gate_rows;
     int rc = 0;
     if (do_check) {
       std::size_t pass = 0, fail = 0;
@@ -293,33 +270,27 @@ int main(int argc, char** argv) {
         for (const LibVariant& lv : sweep_libs()) {
           const ModelSpec spec = spec_for_library("xkblas", lv.heur);
           for (const bool dod : {false, true}) {
-            SweepRow row;
-            row.workload = g.name;
-            row.lib = lv.name;
-            row.scenario = dod ? "data-on-device" : "data-on-host";
+            const char* scenario = dod ? "data-on-device" : "data-on-host";
             WorkloadBenchConfig cfg;
             cfg.data_on_device = dod;
             cfg.topology = topo;
             cfg.check.enabled = true;
             const BenchResult r = run_workload(spec, g, cfg);
-            row.ok = !r.failed && r.check_ok;
-            if (r.failed) row.error = r.error;
-            else if (!r.check_ok) row.error = "check violations";
-            row.seconds = r.seconds;
-            row.tflops = r.tflops;
-            row.tasks = r.tasks;
-            row.h2d = r.transfers.h2d;
-            row.d2d = r.transfers.d2d;
-            row.d2h = r.transfers.d2h;
-            row.optimistic_waits = r.transfers.optimistic_waits;
-            (row.ok ? pass : fail) += 1;
+            const bool ok = !r.failed && r.check_ok;
+            (ok ? pass : fail) += 1;
             std::printf("%-4s %-42s %-14s %-15s %8.4fs %6zu tasks\n",
-                        row.ok ? "ok" : "FAIL", row.workload.c_str(),
-                        row.lib.c_str(), row.scenario.c_str(), row.seconds,
-                        row.tasks);
-            if (!row.ok)
-              std::fprintf(stderr, "  %s\n", row.error.c_str());
-            rows.push_back(std::move(row));
+                        ok ? "ok" : "FAIL", g.name.c_str(), lv.name,
+                        scenario, r.seconds, r.tasks);
+            if (!ok)
+              std::fprintf(stderr, "  %s\n",
+                           r.failed ? r.error.c_str() : "check violations");
+            runs.push_back(bench::object(
+                {{"workload", g.name}, {"lib", lv.name},
+                 {"scenario", scenario}, {"ok", ok}, {"seconds", r.seconds},
+                 {"tflops", r.tflops}, {"tasks", r.tasks},
+                 {"h2d", r.transfers.h2d}, {"d2d", r.transfers.d2d},
+                 {"d2h", r.transfers.d2h},
+                 {"optimistic_waits", r.transfers.optimistic_waits}}));
           }
         }
       }
@@ -327,32 +298,20 @@ int main(int argc, char** argv) {
       if (fail > 0) rc = 4;
     }
 
-    std::string gate_json;
     if (do_gate) {
-      const int gate_rc =
-          run_ablation_gate(topo, json_path.empty() ? nullptr : &gate_json);
+      const int gate_rc = run_ablation_gate(topo, &gate_rows);
       if (gate_rc != 0) rc = gate_rc;
     }
 
     if (!json_path.empty()) {
-      std::ofstream out(json_path);
-      if (!out)
-        throw std::invalid_argument("cannot write " + json_path);
-      out << "{\n\"provenance\": "
-          << obs::Provenance::current("xkb.bench.workloads", 1).to_json()
-          << ",\n\"topology\": \"" << topo.name() << "\",\n\"runs\": [\n";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const SweepRow& r = rows[i];
-        out << "  {\"workload\": \"" << r.workload << "\", \"lib\": \""
-            << r.lib << "\", \"scenario\": \"" << r.scenario
-            << "\", \"ok\": " << (r.ok ? "true" : "false")
-            << ", \"seconds\": " << r.seconds << ", \"tflops\": " << r.tflops
-            << ", \"tasks\": " << r.tasks << ", \"h2d\": " << r.h2d
-            << ", \"d2d\": " << r.d2d << ", \"d2h\": " << r.d2h
-            << ", \"optimistic_waits\": " << r.optimistic_waits << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-      }
-      out << "],\n\"ablation\": [\n" << gate_json << "\n]\n}\n";
+      const obs::Provenance prov =
+          obs::Provenance::current("xkb.bench.workloads", 1);
+      if (!bench::write_artifact(
+              json_path, bench::object({{"provenance", bench::provenance(prov)},
+                                        {"topology", topo.name()},
+                                        {"runs", std::move(runs)},
+                                        {"ablation", std::move(gate_rows)}})))
+        return 2;
       std::printf("json -> %s\n", json_path.c_str());
     }
     return rc;

@@ -18,12 +18,12 @@
 #include "baselines/common.hpp"
 #include "baselines/library_model.hpp"
 #include "baselines/workload_entry.hpp"
+#include "bench_io.hpp"
 #include <fstream>
 
 #include "fault/fault.hpp"
 #include "obs/ledger.hpp"
 #include "obs/report.hpp"
-#include "tdl/presets.hpp"
 #include "tdl/tpo.hpp"
 #include "trace/export.hpp"
 #include "trace/gantt.hpp"
@@ -36,9 +36,6 @@ using namespace xkb::baselines;
 
 namespace {
 
-constexpr const char* kRoutines =
-    "gemm|symm|syrk|syr2k|trmm|trsm|hemm|herk|her2k";
-constexpr const char* kTopos = "dgx1|pcie|nvswitch|summit";
 constexpr const char* kScenarios = "data-on-host|data-on-device";
 
 std::string lib_list() {
@@ -102,51 +99,8 @@ void usage() {
       "output:\n"
       "  --gantt        print per-GPU busy-time table\n"
       "  --csv          print one machine-readable CSV row\n",
-      kRoutines, lib_list().c_str(), kTopos, kScenarios);
-}
-
-/// Strict full-string unsigned parse: "12abc", "-3" and "" all reject with
-/// an actionable message naming the flag (std::stoul would accept the first
-/// silently and wrap the second).
-std::size_t parse_size(const std::string& flag, const std::string& v) {
-  std::size_t pos = 0;
-  unsigned long long x = 0;
-  try {
-    x = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (v.empty() || v[0] == '-' || pos != v.size())
-    throw std::invalid_argument(flag + ": '" + v +
-                                "' is not a non-negative integer");
-  return static_cast<std::size_t>(x);
-}
-
-double parse_double(const std::string& flag, const std::string& v) {
-  std::size_t pos = 0;
-  double x = 0.0;
-  try {
-    x = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (v.empty() || pos != v.size())
-    throw std::invalid_argument(flag + ": '" + v + "' is not a number");
-  return x;
-}
-
-Blas3 parse_routine(const std::string& r) {
-  if (r == "gemm") return Blas3::kGemm;
-  if (r == "symm") return Blas3::kSymm;
-  if (r == "syrk") return Blas3::kSyrk;
-  if (r == "syr2k") return Blas3::kSyr2k;
-  if (r == "trmm") return Blas3::kTrmm;
-  if (r == "trsm") return Blas3::kTrsm;
-  if (r == "hemm") return Blas3::kHemm;
-  if (r == "herk") return Blas3::kHerk;
-  if (r == "her2k") return Blas3::kHer2k;
-  throw std::invalid_argument("unknown routine '" + r +
-                              "' (accepted: " + kRoutines + ")");
+      bench::kRoutineNames, lib_list().c_str(), bench::kTopoNames,
+      kScenarios);
 }
 
 std::unique_ptr<LibraryModel> parse_lib(const std::string& l,
@@ -161,25 +115,6 @@ std::unique_ptr<LibraryModel> parse_lib(const std::string& l,
   if (l == "slate") return make_slate();
   throw std::invalid_argument("unknown library '" + l +
                               "' (accepted: " + lib_list() + ")");
-}
-
-topo::Topology parse_topo(const std::string& t) {
-  if (t == "dgx1") return topo::Topology::dgx1();
-  if (t == "pcie") return topo::Topology::pcie_only(8);
-  if (t == "nvswitch") return topo::Topology::nvswitch(8);
-  if (t == "summit") return topo::Topology::summit_like();
-  // Anything ending in .tpo is a machine description file.
-  if (t.size() > 4 && t.compare(t.size() - 4, 4, ".tpo") == 0)
-    return topo::Topology::from_tpo_file(t);
-  // Fall through to the tdl preset registry (fat_tree_2x8, pcie8, ...), so
-  // every preset a .tpo file can be generated from is also runnable.
-  try {
-    return topo::Topology::from_machine(tdl::preset_machine(t));
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("unknown topology '" + t +
-                                "' (accepted: " + kTopos +
-                                "|<tdl preset>|<file.tpo>)");
-  }
 }
 
 bool parse_scenario(const std::string& s) {
@@ -212,8 +147,8 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (arg == "--routine") routine = next();
-      else if (arg == "--n") n = parse_size(arg, next());
-      else if (arg == "--tile") tile = parse_size(arg, next());
+      else if (arg == "--n") n = bench::parse_size(arg, next());
+      else if (arg == "--tile") tile = bench::parse_size(arg, next());
       else if (arg == "--lib") lib = next();
       else if (arg == "--topo") topo_name = next();
       else if (arg == "--dump-topo") dump_topo = true;
@@ -235,10 +170,10 @@ int main(int argc, char** argv) {
       else if (arg == "--hash") { hash = true; check = true; }
       else if (arg == "--fault-plan") fault_plan_file = next();
       else if (arg == "--fault-seed") {
-        fault_seed = parse_size(arg, next());
+        fault_seed = bench::parse_size(arg, next());
         have_fault_seed = true;
       } else if (arg == "--fault-horizon")
-        fault_horizon = parse_double(arg, next());
+        fault_horizon = bench::parse_double(arg, next());
       else if (arg == "--help" || arg == "-h") { usage(); return 0; }
       else {
         std::fprintf(stderr, "unknown option %s\n", arg.c_str());
@@ -269,7 +204,7 @@ int main(int argc, char** argv) {
     if (no_heur) heur.optimistic_d2d = false;
     if (no_topo) heur.source = rt::SourcePolicy::kFirstValid;
 
-    const topo::Topology topology = parse_topo(topo_name);
+    const topo::Topology topology = bench::parse_topo(topo_name);
     if (dump_topo) {
       std::printf("%s", tdl::write_tpo(topology.machine()).c_str());
       return 0;
@@ -306,7 +241,7 @@ int main(int argc, char** argv) {
                     dod ? " (data-on-device)" : " (data-on-host)");
     } else {
       BenchConfig cfg;
-      cfg.routine = parse_routine(routine);
+      cfg.routine = bench::parse_routine(routine);
       cfg.n = n;
       cfg.tile = tile;
       cfg.topology = topology;
