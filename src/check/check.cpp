@@ -1,12 +1,30 @@
 #include "check/check.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <functional>
+#include <type_traits>
 
 namespace xkb::check {
 
 namespace {
+
+/// Violation text: strings as they are, numbers in decimal.
+template <class... A>
+std::string str(const A&... parts) {
+  std::string s;
+  (
+      [&] {
+        if constexpr (std::is_arithmetic_v<A>)
+          s += std::to_string(parts);
+        else
+          s += parts;
+      }(),
+      ...);
+  return s;
+}
+
+/// Orders per-device shadow entries by device id.
+constexpr auto by_dev = [](const auto& d, int dev) { return d.dev < dev; };
 
 // Event tags folded into the FNV stream hash (stable across builds).
 enum : std::uint64_t {
@@ -51,24 +69,33 @@ Checker::Checker(const CheckConfig& cfg, int num_gpus, int kernel_streams,
       policy_(policy),
       optimistic_(optimistic_d2d) {}
 
-Checker::Shadow& Checker::shadow(const mem::DataHandle* h) {
-  auto it = shadows_.find(h);
-  if (it != shadows_.end()) return it->second;
-  Shadow s;
-  const std::size_t n = static_cast<std::size_t>(gpus_);
-  s.dev_version.assign(n, Shadow::kNoVersion);
-  s.in_version.assign(n, Shadow::kNoVersion);
-  s.in_vc.resize(n);
-  s.arrival_vc.resize(n);
-  // User data starts on the host (mem::Registry interns host-valid handles);
-  // version 0 is the initial host content.
-  s.host_version = 0;
-  return shadows_.emplace(h, std::move(s)).first->second;
+Checker::DevShadow* Checker::Shadow::find(int dev) {
+  const auto it = std::lower_bound(devs.begin(), devs.end(), dev, by_dev);
+  return it != devs.end() && it->dev == dev ? &*it : nullptr;
 }
 
-Checker::TaskInfo* Checker::task(std::uint64_t id) {
-  auto it = tasks_.find(id);
-  return it == tasks_.end() ? nullptr : &it->second;
+Checker::DevShadow& Checker::Shadow::touch(int dev) {
+  auto it = std::lower_bound(devs.begin(), devs.end(), dev, by_dev);
+  if (it == devs.end() || it->dev != dev) {
+    it = devs.emplace(it);
+    it->dev = dev;
+  }
+  return *it;
+}
+
+Checker::Shadow& Checker::shadow(const mem::DataHandle* h) {
+  if (h->id >= shadows_.size()) shadows_.resize(h->id + 1);
+  Shadow& s = shadows_[h->id];
+  if (s.handle != h) {
+    // First sight -- or mem::Registry::clear() handed this id to a new
+    // handle, whose history starts afresh.  User data starts on the host
+    // (the registry interns host-valid handles); version 0 is the initial
+    // host content.
+    s = Shadow{};
+    s.handle = h;
+    pending_recovery_.erase(h->id);
+  }
+  return s;
 }
 
 VectorClock& Checker::lane_clock(std::size_t lane) {
@@ -82,10 +109,6 @@ void Checker::violation(ViolationKind kind, std::string msg) {
     violations_.push_back({kind, std::move(msg)});
 }
 
-void Checker::fold_time(sim::Time t) {
-  fold(std::bit_cast<std::uint64_t>(t));
-}
-
 // ---------------------------------------------------------------------------
 // Task-graph / execution events
 // ---------------------------------------------------------------------------
@@ -94,16 +117,17 @@ void Checker::on_submit(
     std::uint64_t id, std::string label,
     const std::vector<std::pair<const mem::DataHandle*, Mode>>& accesses,
     std::vector<std::uint64_t> preds) {
-  TaskInfo ti;
+  if (id >= tasks_.size()) tasks_.resize(id + 1);
+  TaskInfo& ti = tasks_[id];
+  ti = TaskInfo{};
+  ti.submitted = true;
   ti.label = std::move(label);
   ti.accesses.reserve(accesses.size());
-  fold(kTagSubmit);
-  fold(id);
+  fold(kTagSubmit, id);
   for (const auto& [h, m] : accesses) {
     ti.accesses.push_back({h, m});
     shadow(h);  // materialize shadow state on first sight
-    fold(h->id);
-    fold(static_cast<std::uint64_t>(m));
+    fold(h->id, m);
   }
   // The runtime now sorts predecessors by task id (never by pointer), so
   // the incoming order is already reproducible; keep folding in sorted
@@ -111,13 +135,23 @@ void Checker::on_submit(
   std::sort(preds.begin(), preds.end());
   for (std::uint64_t p : preds) fold(p);
   ti.preds = std::move(preds);
-  ti.submit_vc = completed_vc_;
-  tasks_.emplace(id, std::move(ti));
-  task_order_.push_back(id);
+  // A completed task's clock is final, so the join can wait for the next
+  // submit: a graph emitted up front never pays for it.
+  if (!completed_unjoined_.empty()) {
+    for (std::uint64_t c : completed_unjoined_)
+      completed_vc_.join(tasks_[c].vc);
+    completed_unjoined_.clear();
+    completed_snap_.reset();
+  }
+  if (!completed_vc_.empty()) {
+    if (!completed_snap_)
+      completed_snap_ = std::make_shared<const VectorClock>(completed_vc_);
+    ti.submit_vc = completed_snap_;
+  }
 }
 
-void Checker::stamp(std::uint64_t id, TaskInfo& t, std::size_t lane) {
-  t.vc.join(t.submit_vc);
+void Checker::stamp(TaskInfo& t, std::size_t lane) {
+  if (t.submit_vc) t.vc.join(*t.submit_vc);
   for (std::uint64_t p : t.preds) {
     TaskInfo* pt = task(p);
     // In a healthy run every predecessor completed before this task became
@@ -130,8 +164,8 @@ void Checker::stamp(std::uint64_t id, TaskInfo& t, std::size_t lane) {
   t.vc.join(lc);
   t.vc.tick(lane);
   lc = t.vc;
+  t.lane = static_cast<std::uint32_t>(lane);
   t.vc_set = true;
-  (void)id;
 }
 
 void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
@@ -139,47 +173,40 @@ void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
   for (const AccessRec& a : t.accesses) {
     if (a.mode == Mode::kW) continue;
     Shadow& s = shadow(a.handle);
-    if (s.write_task != 0 && s.write_task != id && !s.write_vc.leq(t.vc))
+    if (s.write.task != 0 && s.write.task != id && !s.write.before(t.vc)) {
+      const TaskInfo& w = *task(s.write.task);
       violation(ViolationKind::kRace,
-                "race: read of tile " + std::to_string(a.handle->id) +
-                    " by task " + std::to_string(id) + " '" + t.label +
-                    "' is not ordered after write by task " +
-                    std::to_string(s.write_task) + " '" + s.write_label +
-                    "' (reader clock " + t.vc.to_string() +
-                    ", writer clock " + s.write_vc.to_string() + ")");
-    s.readers.push_back({id, t.vc});
+                str("race: read of tile ", a.handle->id, " by task ", id, " '",
+                    t.label, "' is not ordered after write by task ",
+                    s.write.task, " '", w.label, "' (reader clock ",
+                    t.vc.to_string(), ", writer clock ", w.vc.to_string(),
+                    ")"));
+    }
+    s.readers.push_back({id, t.vc.at(t.lane), t.lane});
   }
 }
 
-void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev,
-                            sim::Time /*now*/) {
+void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev) {
+  const Epoch epoch{id, t.vc.at(t.lane), t.lane};
   for (const AccessRec& a : t.accesses) {
     if (a.mode == Mode::kR) continue;
     Shadow& s = shadow(a.handle);
     if (cfg_.races) {
-      if (s.write_task != 0 && s.write_task != id && !s.write_vc.leq(t.vc))
+      if (s.write.task != 0 && s.write.task != id && !s.write.before(t.vc))
         violation(ViolationKind::kRace,
-                  "race: write of tile " + std::to_string(a.handle->id) +
-                      " by task " + std::to_string(id) + " '" + t.label +
-                      "' is not ordered after write by task " +
-                      std::to_string(s.write_task) + " '" + s.write_label +
-                      "'");
-      for (const ReaderRec& r : s.readers) {
+                  str("race: write of tile ", a.handle->id, " by task ", id,
+                      " '", t.label, "' is not ordered after write by task ",
+                      s.write.task, " '", task(s.write.task)->label, "'"));
+      for (const Epoch& r : s.readers) {
         if (r.task == id) continue;
-        if (!r.vc.leq(t.vc)) {
-          const TaskInfo* rt = task(r.task);
+        if (!r.before(t.vc))
           violation(ViolationKind::kRace,
-                    "race: write of tile " + std::to_string(a.handle->id) +
-                        " by task " + std::to_string(id) + " '" + t.label +
-                        "' is not ordered after read by task " +
-                        std::to_string(r.task) + " '" +
-                        (rt ? rt->label : "?") + "'");
-        }
+                    str("race: write of tile ", a.handle->id, " by task ", id,
+                        " '", t.label, "' is not ordered after read by task ",
+                        r.task, " '", task(r.task)->label, "'"));
       }
     }
-    s.write_vc = t.vc;
-    s.write_task = id;
-    s.write_label = t.label;
+    s.write = epoch;
     s.readers.clear();
     if (dev < 0) s.host_vc.join(t.vc);  // host-side writer (host_write)
   }
@@ -187,55 +214,43 @@ void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev,
 
 void Checker::on_kernel_issue(std::uint64_t id, int dev, int lane,
                               sim::Time start, sim::Time end) {
-  fold(kTagKernel);
-  fold(id);
-  fold(static_cast<std::uint64_t>(dev));
-  fold_time(start);
-  fold_time(end);
+  fold(kTagKernel, id, dev, start, end);
   TaskInfo* t = task(id);
   if (!t) return;
-  t->device = dev;
   if (cfg_.coherence && device_failed(dev))
     violation(ViolationKind::kCoherence,
-              "kernel of task " + std::to_string(id) + " '" + t->label +
-                  "' issued on blacklisted GPU " + std::to_string(dev));
+              str("kernel of task ", id, " '", t->label,
+                  "' issued on blacklisted GPU ", dev));
   // Import the happens-before edges carried by the operand receptions, then
   // verify freshness: a kernel must start with every read operand valid on
   // its device and holding the latest version.
   for (const AccessRec& a : t->accesses) {
     if (a.mode == Mode::kW) continue;
     Shadow& s = shadow(a.handle);
-    t->vc.join(s.arrival_vc[static_cast<std::size_t>(dev)]);
+    if (const DevShadow* d = s.find(dev)) t->vc.join(d->arrival_vc);
     if (cfg_.coherence) {
       const mem::Replica& r = a.handle->dev[static_cast<std::size_t>(dev)];
       if (r.state != mem::ReplicaState::kValid)
         violation(ViolationKind::kCoherence,
-                  "kernel of task " + std::to_string(id) + " '" + t->label +
-                      "' started on GPU " + std::to_string(dev) +
-                      " with operand tile " + std::to_string(a.handle->id) +
-                      " in state '" + mem::to_string(r.state) + "'");
-      else if (s.dev_version[static_cast<std::size_t>(dev)] != s.version)
+                  str("kernel of task ", id, " '", t->label, "' started on GPU ",
+                      dev, " with operand tile ", a.handle->id, " in state '",
+                      mem::to_string(r.state), "'"));
+      else if (s.dev_version(dev) != s.version)
         violation(ViolationKind::kCoherence,
-                  "stale read: task " + std::to_string(id) + " '" + t->label +
-                      "' on GPU " + std::to_string(dev) + " reads tile " +
-                      std::to_string(a.handle->id) + " at version " +
-                      std::to_string(s.dev_version[static_cast<std::size_t>(
-                          dev)]) +
-                      " but the latest write is version " +
-                      std::to_string(s.version));
+                  str("stale read: task ", id, " '", t->label, "' on GPU ", dev,
+                      " reads tile ", a.handle->id, " at version ",
+                      s.dev_version(dev), " but the latest write is version ",
+                      s.version));
     }
   }
-  stamp(id, *t, lane_kernel(dev, lane));
+  stamp(*t, lane_kernel(dev, lane));
   check_reads(id, *t);
 }
 
 void Checker::on_task_finish(std::uint64_t id, int dev, sim::Time now) {
-  fold(kTagFinish);
-  fold(id);
-  fold_time(now);
+  fold(kTagFinish, id, now);
   TaskInfo* t = task(id);
   if (!t) return;
-  t->finished = true;
   if (!t->vc_set) {
     // Kernel-less placement task (e.g. the 2D block-cyclic distribution):
     // no stream lane, so order it on the device's virtual lane.  Its reads
@@ -243,28 +258,22 @@ void Checker::on_task_finish(std::uint64_t id, int dev, sim::Time now) {
     for (const AccessRec& a : t->accesses) {
       if (a.mode == Mode::kW) continue;
       Shadow& s = shadow(a.handle);
-      t->vc.join(s.arrival_vc[static_cast<std::size_t>(dev)]);
-      if (cfg_.coherence &&
-          s.dev_version[static_cast<std::size_t>(dev)] != s.version)
+      if (const DevShadow* d = s.find(dev)) t->vc.join(d->arrival_vc);
+      if (cfg_.coherence && s.dev_version(dev) != s.version)
         violation(ViolationKind::kCoherence,
-                  "stale read: placement task " + std::to_string(id) + " '" +
-                      t->label + "' on GPU " + std::to_string(dev) +
-                      " observes tile " + std::to_string(a.handle->id) +
-                      " at version " +
-                      std::to_string(
-                          s.dev_version[static_cast<std::size_t>(dev)]) +
-                      ", latest is " + std::to_string(s.version));
+                  str("stale read: placement task ", id, " '", t->label,
+                      "' on GPU ", dev, " observes tile ", a.handle->id,
+                      " at version ", s.dev_version(dev), ", latest is ",
+                      s.version));
     }
-    stamp(id, *t, lane_virtual(dev));
+    stamp(*t, lane_virtual(dev));
     check_reads(id, *t);
   }
-  record_writes(id, *t, dev, now);
+  record_writes(id, *t, dev);
 }
 
 void Checker::on_task_complete(std::uint64_t id, sim::Time now) {
-  fold(kTagComplete);
-  fold(id);
-  fold_time(now);
+  fold(kTagComplete, id, now);
   TaskInfo* t = task(id);
   if (!t) return;
   if (!t->vc_set) {
@@ -276,17 +285,16 @@ void Checker::on_task_complete(std::uint64_t id, sim::Time now) {
       t->vc.join(s.host_vc);
       if (cfg_.coherence && s.host_version != s.version)
         violation(ViolationKind::kCoherence,
-                  "host task " + std::to_string(id) + " '" + t->label +
-                      "' observes tile " + std::to_string(a.handle->id) +
-                      " at host version " + std::to_string(s.host_version) +
-                      ", latest is " + std::to_string(s.version));
+                  str("host task ", id, " '", t->label, "' observes tile ",
+                      a.handle->id, " at host version ", s.host_version,
+                      ", latest is ", s.version));
     }
-    stamp(id, *t, /*host lane=*/0);
+    stamp(*t, /*host lane=*/0);
     check_reads(id, *t);
-    record_writes(id, *t, /*dev=*/-1, now);
+    record_writes(id, *t, /*dev=*/-1);
   }
   t->completed = true;
-  if (t->vc_set) completed_vc_.join(t->vc);
+  if (t->vc_set) completed_unjoined_.push_back(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -295,11 +303,7 @@ void Checker::on_task_complete(std::uint64_t id, sim::Time now) {
 
 void Checker::on_source_choice(const mem::DataHandle* h, int dst,
                                SourceKind kind, int src, bool forced) {
-  fold(kTagSource);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(dst));
-  fold(static_cast<std::uint64_t>(kind));
-  fold(static_cast<std::uint64_t>(src) + 1);
+  fold(kTagSource, h->id, dst, kind, src + 1);
   if (!cfg_.coherence) return;
   const bool host_valid = h->host.state == mem::ReplicaState::kValid;
   Shadow& s = shadow(h);
@@ -307,77 +311,66 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
     case SourceKind::kHost:
       if (!host_valid)
         violation(ViolationKind::kCoherence,
-                  "choose_source picked the host for tile " +
-                      std::to_string(h->id) + " -> GPU " +
-                      std::to_string(dst) + " but the host copy is not valid");
+                  str("choose_source picked the host for tile ", h->id,
+                      " -> GPU ", dst, " but the host copy is not valid"));
       break;
     case SourceKind::kDevice: {
       const mem::Replica& r = h->dev[static_cast<std::size_t>(src)];
       if (device_failed(src))
         violation(ViolationKind::kCoherence,
-                  "choose_source picked failed GPU " + std::to_string(src) +
-                      " as source for tile " + std::to_string(h->id) +
-                      " -> GPU " + std::to_string(dst));
+                  str("choose_source picked failed GPU ", src,
+                      " as source for tile ", h->id, " -> GPU ", dst));
       if (r.state != mem::ReplicaState::kValid)
         violation(ViolationKind::kCoherence,
-                  "choose_source picked invalid replica on GPU " +
-                      std::to_string(src) + " for tile " +
-                      std::to_string(h->id) + " -> GPU " +
-                      std::to_string(dst));
-      else if (s.dev_version[static_cast<std::size_t>(src)] != s.version)
+                  str("choose_source picked invalid replica on GPU ", src,
+                      " for tile ", h->id, " -> GPU ", dst));
+      else if (s.dev_version(src) != s.version)
         violation(ViolationKind::kCoherence,
-                  "choose_source picked stale replica on GPU " +
-                      std::to_string(src) + " for tile " +
-                      std::to_string(h->id) + " (version " +
-                      std::to_string(
-                          s.dev_version[static_cast<std::size_t>(src)]) +
-                      ", latest " + std::to_string(s.version) + ")");
+                  str("choose_source picked stale replica on GPU ", src,
+                      " for tile ", h->id, " (version ", s.dev_version(src),
+                      ", latest ", s.version, ")"));
       if (policy_ == Policy::kHostOnly && host_valid)
         violation(ViolationKind::kCoherence,
-                  "host-only source policy chose a device source for tile " +
-                      std::to_string(h->id) +
-                      " although the host copy is valid");
+                  str("host-only source policy chose a device source for tile ",
+                      h->id, " although the host copy is valid"));
       break;
     }
     case SourceKind::kWaitDevice: {
       const mem::Replica& r = h->dev[static_cast<std::size_t>(src)];
       if (device_failed(src))
         violation(ViolationKind::kCoherence,
-                  "choose_source chained tile " + std::to_string(h->id) +
-                      " on a reception at failed GPU " + std::to_string(src));
+                  str("choose_source chained tile ", h->id,
+                      " on a reception at failed GPU ", src));
       if (r.state != mem::ReplicaState::kInFlight)
         violation(ViolationKind::kCoherence,
-                  "optimistic forwarding chained on GPU " +
-                      std::to_string(src) + " for tile " +
-                      std::to_string(h->id) +
-                      " but no reception is in flight there");
+                  str("optimistic forwarding chained on GPU ", src,
+                      " for tile ", h->id,
+                      " but no reception is in flight there"));
       if (!forced) {
         ++optimistic_seen_;
         if (!optimistic_)
           violation(ViolationKind::kCoherence,
-                    "optimistic wait chosen for tile " +
-                        std::to_string(h->id) +
-                        " although optimistic_d2d is disabled");
+                    str("optimistic wait chosen for tile ", h->id,
+                        " although optimistic_d2d is disabled"));
         if (!host_valid)
           violation(ViolationKind::kCoherence,
-                    "optimistic wait for tile " + std::to_string(h->id) +
+                    str("optimistic wait for tile ", h->id,
                         " marked as chosen, but the host copy is invalid "
-                        "(it should be a forced wait)");
+                        "(it should be a forced wait)"));
       } else {
         ++forced_seen_;
         if (host_valid)
           violation(ViolationKind::kCoherence,
-                    "forced wait for tile " + std::to_string(h->id) +
-                        " although a valid host copy exists");
+                    str("forced wait for tile ", h->id,
+                        " although a valid host copy exists"));
       }
       break;
     }
     case SourceKind::kWaitHost:
       if (h->host.state != mem::ReplicaState::kInFlight)
         violation(ViolationKind::kCoherence,
-                  "waiting on a host reception for tile " +
-                      std::to_string(h->id) +
-                      " but the host copy is not in flight");
+                  str("waiting on a host reception for tile ", h->id,
+                      " but the host copy is not in flight"));
       break;
   }
 }
@@ -385,91 +378,77 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
 void Checker::on_transfer_issue(TransferKind k, const mem::DataHandle* h,
                                 int src, int dst, sim::Time start,
                                 sim::Time end) {
-  fold(kTagTransfer);
-  fold(static_cast<std::uint64_t>(k));
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(src) + 1);
-  fold(static_cast<std::uint64_t>(dst));
-  fold_time(start);
-  fold_time(end);
+  fold(kTagTransfer, k, h->id, src + 1, dst, start, end);
   Shadow& s = shadow(h);
-  const auto d = static_cast<std::size_t>(dst);
   if (cfg_.coherence && device_failed(dst))
     violation(ViolationKind::kCoherence,
-              "transfer of tile " + std::to_string(h->id) +
-                  " issued towards blacklisted GPU " + std::to_string(dst));
+              str("transfer of tile ", h->id,
+                  " issued towards blacklisted GPU ", dst));
   if (cfg_.coherence && k == TransferKind::kD2D && device_failed(src))
     violation(ViolationKind::kCoherence,
-              "D2D of tile " + std::to_string(h->id) +
-                  " issued from blacklisted GPU " + std::to_string(src));
+              str("D2D of tile ", h->id, " issued from blacklisted GPU ", src));
   if (k == TransferKind::kH2D) {
     ++h2d_seen_;
     if (cfg_.coherence && h->host.state != mem::ReplicaState::kValid)
       violation(ViolationKind::kCoherence,
-                "H2D issued for tile " + std::to_string(h->id) + " -> GPU " +
-                    std::to_string(dst) + " with an invalid host copy");
+                str("H2D issued for tile ", h->id, " -> GPU ", dst,
+                    " with an invalid host copy"));
     if (cfg_.coherence && s.host_version != s.version)
       violation(ViolationKind::kCoherence,
-                "H2D issued for tile " + std::to_string(h->id) +
-                    " carries stale host version " +
-                    std::to_string(s.host_version) + " (latest " +
-                    std::to_string(s.version) + ")");
-    s.in_version[d] = s.host_version;
-    s.in_vc[d] = s.host_vc;
+                str("H2D issued for tile ", h->id,
+                    " carries stale host version ", s.host_version,
+                    " (latest ", s.version, ")"));
+    DevShadow& d = s.touch(dst);
+    d.in_version = s.host_version;
+    d.in_vc = s.host_vc;
   } else if (k == TransferKind::kD2D) {
     ++d2d_seen_;
-    const auto sd = static_cast<std::size_t>(src);
-    if (cfg_.coherence &&
-        h->dev[sd].state != mem::ReplicaState::kValid)
+    if (cfg_.coherence && h->dev[src].state != mem::ReplicaState::kValid)
       violation(ViolationKind::kCoherence,
-                "D2D issued for tile " + std::to_string(h->id) + " from GPU " +
-                    std::to_string(src) + " whose replica is not valid");
-    if (cfg_.coherence && s.dev_version[sd] != s.version)
+                str("D2D issued for tile ", h->id, " from GPU ", src,
+                    " whose replica is not valid"));
+    if (cfg_.coherence && s.dev_version(src) != s.version)
       violation(ViolationKind::kCoherence,
-                "D2D issued for tile " + std::to_string(h->id) + " from GPU " +
-                    std::to_string(src) + " holding stale version " +
-                    std::to_string(s.dev_version[sd]) + " (latest " +
-                    std::to_string(s.version) + ")");
-    s.in_version[d] = s.dev_version[sd];
-    s.in_vc[d] = s.arrival_vc[sd];
-    s.in_vc[d].join(s.write_vc);
+                str("D2D issued for tile ", h->id, " from GPU ", src,
+                    " holding stale version ", s.dev_version(src),
+                    " (latest ", s.version, ")"));
+    DevShadow& d = s.touch(dst);
+    const DevShadow* from = s.find(src);  // after the touch: it may move
+    d.in_version = from ? from->version : kNoVersion;
+    d.in_vc = from ? from->arrival_vc : VectorClock{};
+    if (const TaskInfo* w = task(s.write.task)) d.in_vc.join(w->vc);
   }
 }
 
 void Checker::on_arrival(const mem::DataHandle* h, int dev, sim::Time now) {
-  fold(kTagArrival);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(dev));
-  fold_time(now);
+  fold(kTagArrival, h->id, dev, now);
   ++arrivals_;
   Shadow& s = shadow(h);
-  const auto d = static_cast<std::size_t>(dev);
-  if (cfg_.coherence && s.in_version[d] == Shadow::kNoVersion)
+  DevShadow& d = s.touch(dev);
+  if (cfg_.coherence && d.in_version == kNoVersion)
     violation(ViolationKind::kCoherence,
-              "arrival of tile " + std::to_string(h->id) + " on GPU " +
-                  std::to_string(dev) + " without a matching transfer issue");
-  else if (cfg_.coherence && s.in_version[d] != s.version)
+              str("arrival of tile ", h->id, " on GPU ", dev,
+                  " without a matching transfer issue"));
+  else if (cfg_.coherence && d.in_version != s.version)
     violation(ViolationKind::kCoherence,
-              "arrival delivered stale version " +
-                  std::to_string(s.in_version[d]) + " of tile " +
-                  std::to_string(h->id) + " to GPU " + std::to_string(dev) +
-                  " (latest " + std::to_string(s.version) + ")");
-  s.dev_version[d] = s.in_version[d];
-  s.in_version[d] = Shadow::kNoVersion;
-  s.arrival_vc[d].join(s.in_vc[d]);
+              str("arrival delivered stale version ", d.in_version,
+                  " of tile ", h->id, " to GPU ", dev, " (latest ", s.version,
+                  ")"));
+  d.version = d.in_version;
+  d.in_version = kNoVersion;
+  // The arrival clock now holds the reception's: drop the copy (a stray
+  // second arrival would only re-join what is already there).
+  d.arrival_vc.join(d.in_vc);
+  d.in_vc = VectorClock{};
 }
 
 void Checker::on_mark_written(const mem::DataHandle* h, int dev,
                               sim::Time now) {
-  fold(kTagWritten);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(dev));
-  fold_time(now);
+  fold(kTagWritten, h->id, dev, now);
   Shadow& s = shadow(h);
   ++s.version;
-  for (std::size_t g = 0; g < s.dev_version.size(); ++g)
-    if (g != static_cast<std::size_t>(dev)) s.dev_version[g] = Shadow::kNoVersion;
-  s.dev_version[static_cast<std::size_t>(dev)] = s.version;
+  s.touch(dev);
+  for (DevShadow& d : s.devs) d.version = d.dev == dev ? s.version : kNoVersion;
   if (!cfg_.coherence) return;
   // At most one dirty replica, and it must be the writer's.
   int dirty_count = 0;
@@ -477,104 +456,84 @@ void Checker::on_mark_written(const mem::DataHandle* h, int dev,
     if (r.dirty) ++dirty_count;
     if (g != dev && r.state == mem::ReplicaState::kValid)
       violation(ViolationKind::kCoherence,
-                "write to tile " + std::to_string(h->id) + " on GPU " +
-                    std::to_string(dev) +
-                    " left a valid peer replica on GPU " + std::to_string(g));
+                str("write to tile ", h->id, " on GPU ", dev,
+                    " left a valid peer replica on GPU ", g));
   }
   if (dirty_count != 1 || !h->dev[dev].dirty)
     violation(ViolationKind::kCoherence,
-              "tile " + std::to_string(h->id) + " has " +
-                  std::to_string(dirty_count) +
-                  " dirty replicas after a write on GPU " +
-                  std::to_string(dev) + " (expected exactly the writer's)");
+              str("tile ", h->id, " has ", dirty_count,
+                  " dirty replicas after a write on GPU ", dev,
+                  " (expected exactly the writer's)"));
   if (h->host.state == mem::ReplicaState::kValid)
     violation(ViolationKind::kCoherence,
-              "host copy of tile " + std::to_string(h->id) +
+              str("host copy of tile ", h->id,
                   " still valid after a device write (lazy coherency "
-                  "requires invalidation)");
+                  "requires invalidation)"));
 }
 
 void Checker::on_host_write(const mem::DataHandle* h) {
-  fold(kTagHostWrite);
-  fold(h->id);
+  fold(kTagHostWrite, h->id);
   Shadow& s = shadow(h);
   ++s.version;
   s.host_version = s.version;
-  for (auto& v : s.dev_version) v = Shadow::kNoVersion;
+  for (DevShadow& d : s.devs) d.version = kNoVersion;
   if (!cfg_.coherence) return;
   for (const auto& [g, r] : h->dev)
     if (r.state != mem::ReplicaState::kInvalid)
       violation(ViolationKind::kCoherence,
-                "host write to tile " + std::to_string(h->id) +
-                    " left a non-invalid replica on GPU " + std::to_string(g));
+                str("host write to tile ", h->id,
+                    " left a non-invalid replica on GPU ", g));
 }
 
 void Checker::on_host_flush_issue(const mem::DataHandle* h, int src,
                                   std::uint64_t version) {
-  fold(kTagFlushIssue);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(src));
-  fold(version);
+  fold(kTagFlushIssue, h->id, src, version);
   ++d2h_seen_;
   Shadow& s = shadow(h);
   s.d2h_inflight = true;
   if (cfg_.coherence && device_failed(src))
     violation(ViolationKind::kCoherence,
-              "host flush of tile " + std::to_string(h->id) +
-                  " issued from blacklisted GPU " + std::to_string(src));
+              str("host flush of tile ", h->id,
+                  " issued from blacklisted GPU ", src));
   if (cfg_.coherence && version != s.version)
     violation(ViolationKind::kCoherence,
-              "flush of tile " + std::to_string(h->id) + " from GPU " +
-                  std::to_string(src) + " issued for version " +
-                  std::to_string(version) + " but the latest is " +
-                  std::to_string(s.version));
+              str("flush of tile ", h->id, " from GPU ", src,
+                  " issued for version ", version, " but the latest is ",
+                  s.version));
 }
 
 void Checker::on_host_flush_done(const mem::DataHandle* h, int src, bool stale,
                                  std::uint64_t version, sim::Time now) {
-  fold(kTagFlushDone);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(src));
-  fold(stale ? 1u : 0u);
-  fold_time(now);
+  fold(kTagFlushDone, h->id, src, stale, now);
   Shadow& s = shadow(h);
   s.d2h_inflight = false;
   if (stale) return;  // payload discarded; a re-flush (if any) re-issues
   if (cfg_.coherence && version != s.version)
     violation(ViolationKind::kCoherence,
-              "flush published stale version " + std::to_string(version) +
-                  " of tile " + std::to_string(h->id) +
-                  " to the host (latest " + std::to_string(s.version) + ")");
+              str("flush published stale version ", version, " of tile ",
+                  h->id, " to the host (latest ", s.version, ")"));
   s.host_version = version;
-  s.host_vc.join(s.arrival_vc[static_cast<std::size_t>(src)]);
-  s.host_vc.join(s.write_vc);
+  if (const DevShadow* d = s.find(src)) s.host_vc.join(d->arrival_vc);
+  if (const TaskInfo* w = task(s.write.task)) s.host_vc.join(w->vc);
 }
 
 void Checker::on_evict(const mem::DataHandle* h, int dev, bool was_dirty) {
-  fold(kTagEvict);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(dev));
-  fold(was_dirty ? 1u : 0u);
+  fold(kTagEvict, h->id, dev, was_dirty);
   if (!cfg_.coherence) return;
   Shadow& s = shadow(h);
   if (was_dirty) {
     // The caller is about to flush the evicted bytes; they must be current.
-    if (s.dev_version[static_cast<std::size_t>(dev)] != s.version)
+    if (s.dev_version(dev) != s.version)
       violation(ViolationKind::kCoherence,
-                "dirty eviction of tile " + std::to_string(h->id) +
-                    " from GPU " + std::to_string(dev) +
-                    " holds stale version " +
-                    std::to_string(s.dev_version[static_cast<std::size_t>(
-                        dev)]) +
-                    " (latest " + std::to_string(s.version) + ")");
+                str("dirty eviction of tile ", h->id, " from GPU ", dev,
+                    " holds stale version ", s.dev_version(dev), " (latest ",
+                    s.version, ")"));
     return;
   }
   if (!current_version_survives(h, s, dev))
     violation(ViolationKind::kCoherence,
-              "eviction dropped the last copy of tile " +
-                  std::to_string(h->id) + " version " +
-                  std::to_string(s.version) + " (from GPU " +
-                  std::to_string(dev) + ")");
+              str("eviction dropped the last copy of tile ", h->id,
+                  " version ", s.version, " (from GPU ", dev, ")"));
 }
 
 bool Checker::current_version_survives(const mem::DataHandle* h,
@@ -585,12 +544,11 @@ bool Checker::current_version_survives(const mem::DataHandle* h,
     return true;
   if (s.d2h_inflight) return true;  // a flush of the current version is due
   for (const auto& [g, r] : h->dev) {
-    if (g == excluding_dev) continue;
-    const auto gi = static_cast<std::size_t>(g);
-    if (r.state == mem::ReplicaState::kValid && s.dev_version[gi] == s.version)
+    const DevShadow* d = g == excluding_dev ? nullptr : s.find(g);
+    if (!d) continue;
+    if (r.state == mem::ReplicaState::kValid && d->version == s.version)
       return true;
-    if (r.state == mem::ReplicaState::kInFlight &&
-        s.in_version[gi] == s.version)
+    if (r.state == mem::ReplicaState::kInFlight && d->in_version == s.version)
       return true;
   }
   return false;
@@ -603,12 +561,7 @@ bool Checker::current_version_survives(const mem::DataHandle* h,
 void Checker::on_transfer_abort(TransferKind k, const mem::DataHandle* h,
                                 int src, int dst, std::size_t attempts,
                                 std::size_t cap) {
-  fold(kTagAbort);
-  fold(static_cast<std::uint64_t>(k));
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(src) + 1);
-  fold(static_cast<std::uint64_t>(dst) + 1);
-  fold(attempts);
+  fold(kTagAbort, k, h->id, src + 1, dst + 1, attempts);
   Shadow& s = shadow(h);
   if (k == TransferKind::kD2H) {
     ++d2h_aborts_seen_;
@@ -616,104 +569,83 @@ void Checker::on_transfer_abort(TransferKind k, const mem::DataHandle* h,
     s.d2h_inflight = false;
   } else {
     ++rx_aborts_seen_;
-    if (dst >= 0) {
-      // The reception was cancelled: no arrival will consume the in-flight
-      // version, so clear it (current_version_survives must not count a
-      // copy that is no longer coming).
-      const auto d = static_cast<std::size_t>(dst);
-      s.in_version[d] = Shadow::kNoVersion;
-      s.in_vc[d] = VectorClock{};
+    // The reception was cancelled: no arrival will consume the in-flight
+    // version, so clear it (current_version_survives must not count a copy
+    // that is no longer coming).
+    if (DevShadow* d = dst >= 0 ? s.find(dst) : nullptr) {
+      d->in_version = kNoVersion;
+      d->in_vc = VectorClock{};
     }
   }
   if (cap != 0 && attempts > cap)
     violation(ViolationKind::kCoherence,
-              "unbounded retry: transfer of tile " + std::to_string(h->id) +
-                  " -> " + (dst < 0 ? std::string("host")
-                                    : "GPU " + std::to_string(dst)) +
-                  " aborted on attempt " + std::to_string(attempts) +
-                  " past the retry cap of " + std::to_string(cap));
+              str("unbounded retry: transfer of tile ", h->id, " -> ",
+                  dst < 0 ? std::string("host") : str("GPU ", dst),
+                  " aborted on attempt ", attempts, " past the retry cap of ",
+                  cap));
 }
 
 void Checker::on_device_failure(int dev) {
-  fold(kTagDevFail);
-  fold(static_cast<std::uint64_t>(dev));
+  fold(kTagDevFail, dev);
   if (failed_devs_.empty()) failed_devs_.assign(static_cast<std::size_t>(gpus_), 0);
   if (dev >= 0 && dev < gpus_) failed_devs_[static_cast<std::size_t>(dev)] = 1;
 }
 
 void Checker::on_replica_lost(const mem::DataHandle* h, int dev,
                               bool was_dirty) {
-  fold(kTagLost);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(dev));
-  fold(was_dirty ? 1u : 0u);
+  fold(kTagLost, h->id, dev, was_dirty);
   Shadow& s = shadow(h);
-  const auto d = static_cast<std::size_t>(dev);
-  s.dev_version[d] = Shadow::kNoVersion;
-  s.in_version[d] = Shadow::kNoVersion;  // any reception to the dead GPU dies
+  if (DevShadow* d = s.find(dev)) {
+    d->version = kNoVersion;
+    d->in_version = kNoVersion;  // any reception to the dead GPU dies
+  }
   if (!cfg_.coherence) return;
   // If the purge dropped the last holder of the current version, recovery
   // owes us a replay (or a diagnosed data loss, which aborts the run before
   // finalize).  A surviving copy -- promoted or not -- settles it here.
   if (!current_version_survives(h, s, dev))
-    pending_recovery_[h] =
-        "tile " + std::to_string(h->id) + " version " +
-        std::to_string(s.version) + " lost with " +
-        (was_dirty ? std::string("dirty") : std::string("clean")) +
-        " replica on failed GPU " + std::to_string(dev);
+    pending_recovery_[h->id] =
+        str("tile ", h->id, " version ", s.version, " lost with ",
+            was_dirty ? "dirty" : "clean", " replica on failed GPU ", dev);
 }
 
 void Checker::on_promote(const mem::DataHandle* h, int dev) {
-  fold(kTagPromote);
-  fold(h->id);
-  fold(static_cast<std::uint64_t>(dev));
+  fold(kTagPromote, h->id, dev);
   Shadow& s = shadow(h);
-  pending_recovery_.erase(h);
+  pending_recovery_.erase(h->id);
   if (!cfg_.coherence) return;
   const mem::Replica& r = h->dev[static_cast<std::size_t>(dev)];
   if (r.state != mem::ReplicaState::kValid || !r.dirty)
     violation(ViolationKind::kCoherence,
-              "promotion of tile " + std::to_string(h->id) + " on GPU " +
-                  std::to_string(dev) +
-                  " did not leave a valid dirty replica");
-  else if (s.dev_version[static_cast<std::size_t>(dev)] != s.version)
+              str("promotion of tile ", h->id, " on GPU ", dev,
+                  " did not leave a valid dirty replica"));
+  else if (s.dev_version(dev) != s.version)
     violation(ViolationKind::kCoherence,
-              "promoted replica of tile " + std::to_string(h->id) +
-                  " on GPU " + std::to_string(dev) + " holds stale version " +
-                  std::to_string(s.dev_version[static_cast<std::size_t>(dev)]) +
-                  " (latest " + std::to_string(s.version) + ")");
+              str("promoted replica of tile ", h->id, " on GPU ", dev,
+                  " holds stale version ", s.dev_version(dev), " (latest ",
+                  s.version, ")"));
 }
 
 void Checker::on_replay(const mem::DataHandle* h, std::uint64_t task) {
-  fold(kTagReplay);
-  fold(h->id);
-  fold(task);
+  fold(kTagReplay, h->id, task);
   // The replayed producer flows through on_submit/on_mark_written like any
   // task; once it rewrites the tile the current version exists again.
-  pending_recovery_.erase(h);
+  pending_recovery_.erase(h->id);
 }
 
 void Checker::on_task_remap(std::uint64_t id, int from_dev, int to_dev) {
-  fold(kTagRemap);
-  fold(id);
-  fold(static_cast<std::uint64_t>(from_dev));
-  fold(static_cast<std::uint64_t>(to_dev));
+  fold(kTagRemap, id, from_dev, to_dev);
   TaskInfo* t = task(id);
   if (!t) return;
   // The execution on from_dev was cancelled: forget its stamp and recorded
-  // reads so the re-execution on to_dev re-orders them from scratch.
+  // reads so the re-execution on to_dev re-orders them from scratch.  Reads
+  // are only ever recorded on the task's own operands.
   if (t->vc_set)
-    // NOLINTNEXTLINE(xkb-unordered-observable): pure erase of this task's
-    // reader records; no observable state derives from visitation order.
-    for (auto& [h, s] : shadows_) {
-      auto it = std::remove_if(s.readers.begin(), s.readers.end(),
-                               [id](const ReaderRec& r) { return r.task == id; });
-      s.readers.erase(it, s.readers.end());
-    }
+    for (const AccessRec& a : t->accesses)
+      std::erase_if(shadow(a.handle).readers,
+                    [id](const Epoch& r) { return r.task == id; });
   t->vc = VectorClock{};
   t->vc_set = false;
-  t->finished = false;
-  t->device = to_dev;
 }
 
 // ---------------------------------------------------------------------------
@@ -721,9 +653,7 @@ void Checker::on_task_remap(std::uint64_t id, int from_dev, int to_dev) {
 // ---------------------------------------------------------------------------
 
 void Checker::on_engine_event(sim::Time t, std::uint64_t seq) {
-  fold(kTagEngine);
-  fold(seq);
-  fold_time(t);
+  fold(kTagEngine, seq, t);
 }
 
 void Checker::finalize(const StatsView& st) {
@@ -732,9 +662,8 @@ void Checker::finalize(const StatsView& st) {
                           const char* what) {
     if (got != want)
       violation(ViolationKind::kStats,
-                std::string(what) + " counter mismatch: runtime reports " +
-                    std::to_string(got) + ", checker observed " +
-                    std::to_string(want));
+                str(what, " counter mismatch: runtime reports ", got,
+                    ", checker observed ", want));
   };
   expect_eq(st.h2d, h2d_seen_, "h2d");
   expect_eq(st.d2h, d2h_seen_, "d2h");
@@ -745,48 +674,44 @@ void Checker::finalize(const StatsView& st) {
             "transfer_aborts");
   if (!optimistic_ && st.optimistic_waits != 0)
     violation(ViolationKind::kStats,
-              "optimistic_waits = " + std::to_string(st.optimistic_waits) +
-                  " under an ablation configuration (must be 0)");
+              str("optimistic_waits = ", st.optimistic_waits,
+                  " under an ablation configuration (must be 0)"));
   // Every issued reception either materializes a replica or was aborted by
   // fault recovery -- nothing may simply evaporate.
   if (st.completed == st.submitted &&
       h2d_seen_ + d2d_seen_ != arrivals_ + rx_aborts_seen_)
     violation(ViolationKind::kStats,
-              "transfer ledger does not balance: " +
-                  std::to_string(h2d_seen_) + " H2D + " +
-                  std::to_string(d2d_seen_) + " D2D issued, but " +
-                  std::to_string(arrivals_) + " replicas materialized and " +
-                  std::to_string(rx_aborts_seen_) + " receptions aborted");
+              str("transfer ledger does not balance: ", h2d_seen_, " H2D + ",
+                  d2d_seen_, " D2D issued, but ", arrivals_,
+                  " replicas materialized and ", rx_aborts_seen_,
+                  " receptions aborted"));
 
   // --- progress audit ---------------------------------------------------
   if (cfg_.progress && st.completed != st.submitted) {
     std::size_t stuck = 0;
     std::string dump;
-    for (std::uint64_t id : task_order_) {
-      const TaskInfo& t = tasks_.at(id);
-      if (t.completed) continue;
+    for (std::uint64_t id = 1; id < tasks_.size(); ++id) {
+      const TaskInfo& t = tasks_[id];
+      if (!t.submitted || t.completed) continue;
       ++stuck;
       if (stuck <= 8) {
         std::string waits;
         for (std::uint64_t p : t.preds) {
           const TaskInfo* pt = task(p);
-          if (pt && !pt->completed)
-            waits += (waits.empty() ? "" : ",") + std::to_string(p);
+          if (pt && !pt->completed) waits += str(waits.empty() ? "" : ",", p);
         }
-        dump += "\n  task " + std::to_string(id) + " '" + t.label +
-                "' waiting on [" + waits + "]";
+        dump += str("\n  task ", id, " '", t.label, "' waiting on [", waits,
+                    "]");
       }
     }
     violation(ViolationKind::kProgress,
-              "engine drained with " + std::to_string(stuck) + " of " +
-                  std::to_string(st.submitted) +
-                  " tasks incomplete (deadlock or dropped completion)" +
-                  dump);
+              str("engine drained with ", stuck, " of ", st.submitted,
+                  " tasks incomplete (deadlock or dropped completion)", dump));
 
     // Wait-for cycle detection over the incomplete tasks: task -> its
     // incomplete predecessors.  A cycle is a hard failure with the cycle
     // dumped; acyclic stuck graphs point at a dropped completion event.
-    std::unordered_map<std::uint64_t, int> color;  // 0 new, 1 open, 2 done
+    std::vector<std::uint8_t> color(tasks_.size(), 0);  // 0 new, 1 open, 2 done
     std::vector<std::uint64_t> path;
     std::string cycle;
     std::function<bool(std::uint64_t)> dfs = [&](std::uint64_t id) -> bool {
@@ -800,8 +725,8 @@ void Checker::finalize(const StatsView& st) {
           if (color[p] == 1) {
             auto it = std::find(path.begin(), path.end(), p);
             for (; it != path.end(); ++it)
-              cycle += (cycle.empty() ? "" : " -> ") + std::to_string(*it);
-            cycle += " -> " + std::to_string(p);
+              cycle += str(cycle.empty() ? "" : " -> ", *it);
+            cycle += str(" -> ", p);
             return true;
           }
           if (color[p] == 0 && dfs(p)) return true;
@@ -810,9 +735,9 @@ void Checker::finalize(const StatsView& st) {
       color[id] = 2;
       return false;
     };
-    for (std::uint64_t id : task_order_) {
-      const TaskInfo& t = tasks_.at(id);
-      if (!t.completed && color[id] == 0 && dfs(id)) {
+    for (std::uint64_t id = 1; id < tasks_.size(); ++id) {
+      const TaskInfo& t = tasks_[id];
+      if (t.submitted && !t.completed && color[id] == 0 && dfs(id)) {
         violation(ViolationKind::kProgress,
                   "wait-for cycle detected: " + cycle);
         break;
@@ -822,62 +747,44 @@ void Checker::finalize(const StatsView& st) {
 
   // --- final protocol scan ----------------------------------------------
   if (cfg_.coherence) {
-    // Both maps are keyed by DataHandle pointers; iterating them directly
-    // would emit violations in heap-address order -- nondeterministic
-    // output from the very layer that certifies determinism (flagged by
-    // xkb-tidy's unordered-observable check).  Scan snapshots sorted by
-    // stable tile id instead.
-    auto by_tile_id = [](auto* a, auto* b) { return a->id < b->id; };
-    std::vector<const mem::DataHandle*> pending;
-    pending.reserve(pending_recovery_.size());
-    for (const auto& [h, msg] : pending_recovery_)  // NOLINT(xkb-unordered-observable): order-independent snapshot, sorted below
-      pending.push_back(h);
-    std::sort(pending.begin(), pending.end(), by_tile_id);
-    for (const mem::DataHandle* h : pending)
+    // Both scans run in tile-id order: the report is deterministic.
+    for (const auto& [id, msg] : pending_recovery_)
       violation(ViolationKind::kCoherence,
-                "unresolved recovery: " + pending_recovery_.at(h) +
-                    " and neither a surviving copy nor a replay restored it");
-    std::vector<const mem::DataHandle*> tiles;
-    tiles.reserve(shadows_.size());
-    for (const auto& [h, s] : shadows_)  // NOLINT(xkb-unordered-observable): order-independent snapshot, sorted below
-      tiles.push_back(h);
-    std::sort(tiles.begin(), tiles.end(), by_tile_id);
-    for (const mem::DataHandle* h : tiles) {
-      const Shadow& s = shadows_.at(h);
-      if (pending_recovery_.count(h)) continue;  // already reported above
+                str("unresolved recovery: ", msg,
+                    " and neither a surviving copy nor a replay restored it"));
+    for (const Shadow& s : shadows_) {
+      const mem::DataHandle* h = s.handle;
+      if (!h || pending_recovery_.count(h->id)) continue;  // reported above
       int dirty = 0;
       for (const auto& [g, r] : h->dev) {
         if (r.dirty) ++dirty;
         if (r.pins != 0)
           violation(ViolationKind::kCoherence,
-                    "pin leak: tile " + std::to_string(h->id) + " on GPU " +
-                        std::to_string(g) + " still has " +
-                        std::to_string(r.pins) + " pins after the run");
+                    str("pin leak: tile ", h->id, " on GPU ", g, " still has ",
+                        r.pins, " pins after the run"));
       }
       if (dirty > 1)
         violation(ViolationKind::kCoherence,
-                  "tile " + std::to_string(h->id) + " ends the run with " +
-                      std::to_string(dirty) + " dirty replicas");
+                  str("tile ", h->id, " ends the run with ", dirty,
+                      " dirty replicas"));
       if (st.completed == st.submitted &&
           !current_version_survives(h, s, /*excluding_dev=*/-1))
         violation(ViolationKind::kCoherence,
-                  "tile " + std::to_string(h->id) +
-                      " lost its current version " +
-                      std::to_string(s.version) + " by the end of the run");
+                  str("tile ", h->id, " lost its current version ", s.version,
+                      " by the end of the run"));
     }
   }
 }
 
 std::string Checker::report() const {
   if (total_violations_ == 0) return {};
-  std::string out = "xkb::check found " + std::to_string(total_violations_) +
-                    " violation(s):\n";
+  std::string out =
+      str("xkb::check found ", total_violations_, " violation(s):\n");
   for (const Violation& v : violations_)
-    out += std::string("  [") + to_string(v.kind) + "] " + v.message + "\n";
+    out += str("  [", to_string(v.kind), "] ", v.message, "\n");
   if (total_violations_ > violations_.size())
-    out += "  ... and " +
-           std::to_string(total_violations_ - violations_.size()) +
-           " more (recording capped)\n";
+    out += str("  ... and ", total_violations_ - violations_.size(),
+               " more (recording capped)\n");
   return out;
 }
 

@@ -29,11 +29,13 @@
 // per hook when disabled.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <map>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -192,47 +194,75 @@ class Checker {
     Mode mode = Mode::kR;
   };
   struct TaskInfo {
+    bool submitted = false;  ///< slot holds a task (ids index tasks_)
+    bool vc_set = false;
+    bool completed = false;
+    std::uint32_t lane = 0;  ///< lane of the stamp, valid once `vc_set`
     std::string label;
     std::vector<AccessRec> accesses;
     std::vector<std::uint64_t> preds;
     VectorClock vc;  ///< the task's event clock, valid once `vc_set`
     /// Join of the clocks of every task already completed when this one was
-    /// submitted.  Tasks that finished before `t` even existed happen-before
-    /// everything `t` does -- the runtime rightly creates no dependence edge
-    /// for them (multi-phase runs: distribute, run, then emit compute), so
-    /// the edge has to come from the submit point itself.  Snapshotted at
-    /// submit, NOT read at stamp time: by stamp time concurrent tasks may
-    /// have completed, and joining those would mask real races.
-    VectorClock submit_vc;
-    bool vc_set = false;
-    bool finished = false;
-    bool completed = false;
-    int device = -1;
+    /// submitted (null: none had).  Tasks that finished before `t` even
+    /// existed happen-before everything `t` does -- the runtime rightly
+    /// creates no dependence edge for them (multi-phase runs: distribute,
+    /// run, then emit compute), so the edge has to come from the submit
+    /// point itself.  Snapshotted at submit, NOT read at stamp time: by
+    /// stamp time concurrent tasks may have completed, and joining those
+    /// would mask real races.  Tasks submitted between two completions
+    /// share one snapshot.
+    std::shared_ptr<const VectorClock> submit_vc;
   };
-  struct ReaderRec {
-    std::uint64_t task = 0;
-    VectorClock vc;
+  /// One access as a FastTrack epoch (Flanagan & Freund, PLDI 2009): the
+  /// accessing task and its own (lane, clock) component.  A lane value is
+  /// minted by exactly one stamp, and every clock that holds it or a later
+  /// value on that lane has joined the stamping task's full clock, so the
+  /// access happens-before an event with clock V iff clock <= V.at(lane).
+  struct Epoch {
+    std::uint64_t task = 0;  ///< 0: no access recorded
+    std::uint64_t clock = 0;
+    std::uint32_t lane = 0;
+    bool before(const VectorClock& v) const { return clock <= v.at(lane); }
   };
-  /// Shadow replica bookkeeping, keyed by handle.  `kNoVersion` marks a
-  /// location that never held a copy.
+  static constexpr std::uint64_t kNoVersion = ~0ull;  ///< never held a copy
+  /// Shadow state of one device for one tile.
+  struct DevShadow {
+    int dev = 0;
+    std::uint64_t version = kNoVersion;
+    std::uint64_t in_version = kNoVersion;  ///< carried by the in-flight rx
+    VectorClock in_vc;                      ///< HB carried by the in-flight rx
+    VectorClock arrival_vc;                 ///< HB carried by the arrivals
+  };
+  /// Shadow replica bookkeeping of one tile.  Device state exists only for
+  /// devices that touched the tile, sorted by device id like
+  /// mem::ReplicaMap; an absent device reads as never holding a copy.
   struct Shadow {
-    static constexpr std::uint64_t kNoVersion = ~0ull;
+    const mem::DataHandle* handle = nullptr;  ///< null: slot never used
     std::uint64_t version = 0;       ///< writes observed so far
     std::uint64_t host_version = 0;  ///< version the host copy holds
-    std::vector<std::uint64_t> dev_version;
-    std::vector<std::uint64_t> in_version;  ///< version carried by in-flight rx
-    std::vector<VectorClock> in_vc;         ///< HB carried by in-flight rx
-    std::vector<VectorClock> arrival_vc;    ///< HB carried by the last arrival
-    VectorClock host_vc;                    ///< HB carried by the host copy
-    VectorClock write_vc;                   ///< clock of the last write event
-    std::uint64_t write_task = 0;
-    std::string write_label;
-    std::vector<ReaderRec> readers;  ///< reads since the last write
+    std::vector<DevShadow> devs;
+    VectorClock host_vc;  ///< HB carried by the host copy
+    Epoch write;          ///< the last write
+    std::vector<Epoch> readers;  ///< reads since the last write
     bool d2h_inflight = false;
+
+    DevShadow* find(int dev);
+    const DevShadow* find(int dev) const {
+      return const_cast<Shadow*>(this)->find(dev);
+    }
+    /// The device's state, created on first touch.  Inserting may move the
+    /// other entries: look any second device up after touching.
+    DevShadow& touch(int dev);
+    std::uint64_t dev_version(int dev) const {
+      const DevShadow* d = find(dev);
+      return d ? d->version : kNoVersion;
+    }
   };
 
   Shadow& shadow(const mem::DataHandle* h);
-  TaskInfo* task(std::uint64_t id);
+  TaskInfo* task(std::uint64_t id) {
+    return id < tasks_.size() && tasks_[id].submitted ? &tasks_[id] : nullptr;
+  }
   std::size_t lane_kernel(int dev, int lane) const {
     return 1 + static_cast<std::size_t>(dev) * streams_ +
            static_cast<std::size_t>(lane);
@@ -245,15 +275,24 @@ class Checker {
 
   /// Join every happens-before edge into `t`'s clock and stamp it with a
   /// fresh event on `lane` (also advancing the lane clock).
-  void stamp(std::uint64_t id, TaskInfo& t, std::size_t lane);
+  void stamp(TaskInfo& t, std::size_t lane);
   void check_reads(std::uint64_t id, TaskInfo& t);
-  void record_writes(std::uint64_t id, TaskInfo& t, int dev, sim::Time now);
+  void record_writes(std::uint64_t id, TaskInfo& t, int dev);
 
   void violation(ViolationKind kind, std::string msg);
-  void fold(std::uint64_t v) {
-    hash_ = (hash_ ^ v) * 1099511628211ull;  // FNV-1a 64, 8 bytes at a time
+  /// Folds each value into the FNV-1a 64 hash, 8 bytes at a time: times
+  /// by their bit pattern, everything else converted to 64 bits.
+  template <class... V>
+  void fold(V... v) {
+    ((hash_ = (hash_ ^ bits(v)) * 1099511628211ull), ...);
   }
-  void fold_time(sim::Time t);
+  template <class V>
+  static std::uint64_t bits(V v) {
+    if constexpr (std::is_floating_point_v<V>)
+      return std::bit_cast<std::uint64_t>(v);
+    else
+      return static_cast<std::uint64_t>(v);
+  }
 
   /// True when some location (or in-flight reception) still holds the
   /// current version of `h`.
@@ -266,11 +305,14 @@ class Checker {
   Policy policy_;
   bool optimistic_;
 
-  std::unordered_map<std::uint64_t, TaskInfo> tasks_;
-  std::vector<std::uint64_t> task_order_;  ///< submission order (audit dump)
-  std::unordered_map<const mem::DataHandle*, Shadow> shadows_;
+  // Both indexed by id: task and tile ids count up from 1.
+  std::vector<TaskInfo> tasks_;
+  std::vector<Shadow> shadows_;
   std::vector<VectorClock> lanes_;
-  VectorClock completed_vc_;  ///< join of all completed tasks' clocks
+  VectorClock completed_vc_;  ///< join of the completed tasks' clocks ...
+  std::vector<std::uint64_t> completed_unjoined_;  ///< ... but these
+  /// completed_vc_ as last handed to a submit (null: stale or empty).
+  std::shared_ptr<const VectorClock> completed_snap_;
 
   // Observed-event counters, reconciled against StatsView in finalize().
   std::size_t h2d_seen_ = 0, d2h_seen_ = 0, d2d_seen_ = 0;
@@ -287,7 +329,7 @@ class Checker {
   }
   /// Tiles whose last current copy died with a failed device; must be
   /// resolved by on_replay before finalize.
-  std::unordered_map<const mem::DataHandle*, std::string> pending_recovery_;
+  std::map<std::uint64_t, std::string> pending_recovery_;  ///< by tile id
 
   std::vector<Violation> violations_;
   std::size_t total_violations_ = 0;

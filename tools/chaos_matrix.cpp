@@ -347,10 +347,11 @@ int main(int argc, char** argv) {
            {"waiter_replans", o.waiter_replans},
            {"task_remaps", o.task_remaps}, {"task_replays", o.task_replays},
            {"error", o.error},
-           {"fault", o.fault_json.empty() ? util::JsonValue()
-                                          : util::json_parse(o.fault_json)}}));
+           {"injector", o.fault_json.empty()
+                            ? util::JsonValue()
+                            : util::json_parse(o.fault_json)}}));
     const obs::Provenance prov =
-        obs::Provenance::current("xkb.bench.chaos", 1, 42);
+        obs::Provenance::current("xkb.bench.chaos", 2, 42);
     if (!bench::write_artifact(
             report_path,
             bench::object({{"provenance", bench::provenance(prov)},

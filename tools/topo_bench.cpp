@@ -1,14 +1,20 @@
-// topo_bench: scale-out evidence for the tdl routed topology.
+// topo_bench: scale-out evidence for the tdl routed topology and for the
+// checker's cost at that scale.
 //
-// Sweeps fat-tree machines at 8 / 64 / 256 / 1024 devices, runs a checked
-// stencil workload on each, and emits BENCH_topo.json (schema
-// xkb.bench.topo/1, obs::Provenance, --append trajectory like perf_bench):
-// per-point simulated events/sec, a peak-RSS proxy (VmHWM where
-// /proc/self/status exists), and the topology's sparse-representation
-// accounting against the dense n*n counterfactual.
+// Sweeps fat-tree machines at 8 / 64 / 256 / 1024 devices and runs the same
+// stencil workload on each twice, under xkb::check and unchecked.  Emits
+// BENCH_topo.json (schema xkb.bench.topo/2, obs::Provenance, --append
+// trajectory like perf_bench): per point the simulated events/sec, wall
+// time and peak RSS of each run, the checked/unchecked ratios, and the
+// topology's sparse-representation accounting against the dense n*n
+// counterfactual.  Every run executes in a child process of its own, so
+// its peak RSS (VmHWM, where /proc/self/status exists) is its own and not
+// the high-water mark of the largest run before it.
 //
 // Hard gates (CI + ctest):
-//   exit 4  a checked run fails (xkb::check violation or failed run)
+//   exit 4  a checked run fails (xkb::check violation or failed run), or
+//           the checker is not passive: the unchecked twin must process
+//           the same events to the same makespan
 //   exit 5  memory scale-out violated: sparse_bytes must beat the dense
 //           n*n counterfactual at 64 devices and by 8x at 256+, and
 //           per-device sparse bytes must stay within 4x of the smallest
@@ -19,8 +25,12 @@
 //
 // --smoke stops the sweep at 64 devices for a seconds-long ctest entry;
 // the CI topology job runs the full 1024-device soak.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -55,44 +65,45 @@ std::size_t peak_rss_kb() {
   return 0;
 }
 
-struct Point {
+/// One run, as its child process reports it back: plain data, followed on
+/// the pipe by the checker's report text.
+struct Run {
+  char machine[64] = {};
   int devices = 0;
-  std::string machine;
   std::size_t tasks = 0;
   std::uint64_t sim_events = 0;
+  double makespan = 0.0;
   double wall_s = 0.0;
-  double events_per_sec = 0.0;
   std::size_t rss_kb = 0;
   std::size_t sparse_bytes = 0;
-  std::size_t dense_bytes = 0;
   std::size_t fabric_rows = 0;
   bool check_ok = false;
-  std::string check_report;
 };
 
-Point run_scale(int nodes, int gpus_per_node) {
+Run run_scale(int nodes, int gpus_per_node, bool checked,
+              std::string& report) {
   tdl::FatTreeSpec spec;
   spec.nodes = nodes;
   spec.gpus_per_node = gpus_per_node;
   const topo::Topology topo =
       topo::Topology::from_machine(tdl::fat_tree_machine(spec));
 
-  Point p;
-  p.devices = topo.num_gpus();
-  p.machine = topo.name();
+  Run r;
+  r.devices = topo.num_gpus();
+  std::snprintf(r.machine, sizeof r.machine, "%s", topo.name().c_str());
 
   // A stencil wide enough that every device owns tiles and every halo
   // exchange crosses a route; depth keeps the task count proportional to
   // the device count, so events/sec is comparable across sizes.
   std::ostringstream ws;
-  ws << "stencil_1d:width=" << 2 * p.devices << ",depth=8";
+  ws << "stencil_1d:width=" << 2 * r.devices << ",depth=8";
   const wl::WorkloadGraph g = wl::build(wl::WorkloadSpec::parse(ws.str()));
 
   rt::PlatformOptions popt;
   popt.functional = false;
   rt::Platform plat(topo, rt::PerfModel{}, popt);
   rt::RuntimeOptions ropt;
-  ropt.check.enabled = true;
+  ropt.check.enabled = checked;
   rt::Runtime runtime(plat, std::make_unique<rt::OwnerComputesScheduler>(),
                       ropt);
 
@@ -102,25 +113,90 @@ Point run_scale(int nodes, int gpus_per_node) {
   };
   wl::Bridge bridge(runtime, g, std::move(bopt));
 
-  p.wall_s = bench::wall_of([&] {
+  r.wall_s = bench::wall_of([&] {
     bridge.emit();
     bridge.coherent();
-    runtime.run();
+    r.makespan = runtime.run();
   });
-  p.tasks = g.tasks.size();
-  p.sim_events = plat.engine().events_processed();
-  p.events_per_sec =
-      p.wall_s > 0 ? static_cast<double>(p.sim_events) / p.wall_s : 0.0;
-  p.rss_kb = peak_rss_kb();
-  p.sparse_bytes = plat.topology().sparse_bytes();
-  p.dense_bytes = topo::Topology::dense_bytes(p.devices);
-  p.fabric_rows = plat.topology().fabric_rows_cached();
+  r.tasks = g.tasks.size();
+  r.sim_events = plat.engine().events_processed();
+  r.rss_kb = peak_rss_kb();
+  r.sparse_bytes = plat.topology().sparse_bytes();
+  r.fabric_rows = plat.topology().fabric_rows_cached();
+  r.check_ok = true;
   if (const check::Checker* c = runtime.checker()) {
-    p.check_ok = c->ok();
-    p.check_report = c->report();
+    r.check_ok = c->ok();
+    report = c->report();
   }
-  return p;
+  return r;
 }
+
+/// run_scale in a child process: a process's VmHWM never goes down, so in
+/// one process every run would inherit the peak of the largest run before
+/// it.  False (with the reason in `report`) when the child failed.
+bool run_isolated(int nodes, int gpus_per_node, bool checked, Run& r,
+                  std::string& report) {
+  int fd[2];
+  if (pipe(fd) != 0) {
+    report = "pipe failed";
+    return false;
+  }
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    report = "fork failed";
+    close(fd[0]);
+    close(fd[1]);
+    return false;
+  }
+  if (pid == 0) {
+    close(fd[0]);
+    int code = 0;
+    try {
+      std::string rep;
+      const Run res = run_scale(nodes, gpus_per_node, checked, rep);
+      std::string out(reinterpret_cast<const char*>(&res), sizeof res);
+      out += rep;
+      for (std::size_t off = 0; off < out.size();) {
+        const ssize_t n = write(fd[1], out.data() + off, out.size() - off);
+        if (n <= 0) break;
+        off += static_cast<std::size_t>(n);
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "topo_bench: %s\n", e.what());
+      code = 1;
+    }
+    close(fd[1]);
+    _exit(code);
+  }
+  close(fd[1]);
+  std::string bytes;
+  char buf[4096];
+  for (ssize_t n; (n = read(fd[0], buf, sizeof buf)) > 0;)
+    bytes.append(buf, static_cast<std::size_t>(n));
+  close(fd[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 ||
+      bytes.size() < sizeof r) {
+    report = "run failed in its child process";
+    return false;
+  }
+  std::memcpy(&r, bytes.data(), sizeof r);
+  report = bytes.substr(sizeof r);
+  return true;
+}
+
+double ratio(double on, double off) { return off > 0 ? on / off : 0.0; }
+double per_sec(const Run& r) {
+  return r.wall_s > 0 ? static_cast<double>(r.sim_events) / r.wall_s : 0.0;
+}
+
+/// One scale: the checked run and its unchecked twin.
+struct Point {
+  Run on, off;
+  std::size_t dense_bytes = 0;
+};
 
 }  // namespace
 
@@ -150,38 +226,62 @@ int main(int argc, char** argv) {
 
   std::vector<Point> points;
   for (const Scale& s : scales) {
-    points.push_back(run_scale(s.nodes, s.gpus_per_node));
-    const Point& p = points.back();
-    std::printf(
-        "%-16s %5d dev  %8zu tasks  %10llu events  %7.3f s  %10.0f ev/s  "
-        "rss %zu KB  sparse %zu B (dense %zu B)  check %s\n",
-        p.machine.c_str(), p.devices, p.tasks,
-        static_cast<unsigned long long>(p.sim_events), p.wall_s,
-        p.events_per_sec, p.rss_kb, p.sparse_bytes, p.dense_bytes,
-        p.check_ok ? "ok" : "FAIL");
-    if (!p.check_ok) {
+    Point p;
+    std::string report;
+    const bool ran =
+        run_isolated(s.nodes, s.gpus_per_node, true, p.on, report) &&
+        p.on.check_ok;
+    if (!ran) {
       std::fprintf(stderr, "topo_bench: CHECK FAILED at %d devices:\n%s\n",
-                   p.devices, p.check_report.c_str());
+                   s.nodes * s.gpus_per_node, report.c_str());
       return 4;
     }
+    if (!run_isolated(s.nodes, s.gpus_per_node, false, p.off, report) ||
+        p.off.sim_events != p.on.sim_events ||
+        p.off.makespan != p.on.makespan) {
+      std::fprintf(stderr,
+                   "topo_bench: CHECKER NOT PASSIVE at %d devices: checked "
+                   "%llu events to %.9g s, unchecked %llu events to %.9g s "
+                   "%s\n",
+                   p.on.devices,
+                   static_cast<unsigned long long>(p.on.sim_events),
+                   p.on.makespan,
+                   static_cast<unsigned long long>(p.off.sim_events),
+                   p.off.makespan, report.c_str());
+      return 4;
+    }
+    p.dense_bytes = topo::Topology::dense_bytes(p.on.devices);
+    points.push_back(p);
+    std::printf(
+        "%-16s %5d dev  %8zu tasks  %10llu events  checked %7.3f s "
+        "%10.0f ev/s rss %8zu KB  unchecked %7.3f s rss %8zu KB  "
+        "check x%.2f wall x%.2f rss  sparse %zu B (dense %zu B)\n",
+        p.on.machine, p.on.devices, p.on.tasks,
+        static_cast<unsigned long long>(p.on.sim_events), p.on.wall_s,
+        per_sec(p.on), p.on.rss_kb, p.off.wall_s, p.off.rss_kb,
+        ratio(p.on.wall_s, p.off.wall_s),
+        ratio(static_cast<double>(p.on.rss_kb),
+              static_cast<double>(p.off.rss_kb)),
+        p.on.sparse_bytes, p.dense_bytes);
   }
 
   // Memory gates: the sparse routed view must beat the dense n*n tables
   // decisively at scale, and per-device footprint must stay bounded (the
   // fat tree's active links per device are constant across sizes).
   const double per_dev_first =
-      static_cast<double>(points.front().sparse_bytes) /
-      points.front().devices;
+      static_cast<double>(points.front().on.sparse_bytes) /
+      points.front().on.devices;
   bool mem_ok = true;
-  for (const Point& p : points) {
+  for (const Point& pt : points) {
+    const Run& p = pt.on;
     // Sparse O(links) vs dense O(n^2): any win at 64 devices, a decisive
     // 8x at 256+ where the quadratic term dominates.
     const std::size_t factor = p.devices >= 256 ? 8 : 1;
-    if (p.devices >= 64 && p.sparse_bytes * factor >= p.dense_bytes) {
+    if (p.devices >= 64 && p.sparse_bytes * factor >= pt.dense_bytes) {
       std::fprintf(stderr,
                    "topo_bench: MEMORY GATE FAILED: sparse %zu B vs dense "
                    "%zu B at %d devices\n",
-                   p.sparse_bytes, p.dense_bytes, p.devices);
+                   p.sparse_bytes, pt.dense_bytes, p.devices);
       mem_ok = false;
     }
     const double per_dev = static_cast<double>(p.sparse_bytes) / p.devices;
@@ -190,37 +290,49 @@ int main(int argc, char** argv) {
                    "topo_bench: MEMORY GATE FAILED: %.0f B/device at %d "
                    "devices vs %.0f B/device at %d -- not O(active links)\n",
                    per_dev, p.devices, per_dev_first,
-                   points.front().devices);
+                   points.front().on.devices);
       mem_ok = false;
     }
   }
   if (!mem_ok) return 5;
 
-  const obs::Provenance prov = obs::Provenance::current("xkb.bench.topo", 1);
+  const obs::Provenance prov = obs::Provenance::current("xkb.bench.topo", 2);
   const char* mode = smoke ? "smoke" : "full";
   const Point& top = points.back();
   util::JsonArray rows;
   for (const Point& p : points)
     rows.push_back(bench::object(
-        {{"devices", p.devices}, {"machine", p.machine}, {"tasks", p.tasks},
-         {"sim_events", p.sim_events}, {"wall_s", p.wall_s},
-         {"events_per_sec", p.events_per_sec}, {"peak_rss_kb", p.rss_kb},
-         {"sparse_bytes", p.sparse_bytes}, {"dense_bytes", p.dense_bytes},
+        {{"devices", p.on.devices}, {"machine", std::string(p.on.machine)},
+         {"tasks", p.on.tasks}, {"sim_events", p.on.sim_events},
+         {"wall_s", p.on.wall_s}, {"events_per_sec", per_sec(p.on)},
+         {"peak_rss_kb", p.on.rss_kb},
+         {"unchecked_wall_s", p.off.wall_s},
+         {"unchecked_events_per_sec", per_sec(p.off)},
+         {"unchecked_peak_rss_kb", p.off.rss_kb},
+         {"check_wall_x", ratio(p.on.wall_s, p.off.wall_s)},
+         {"check_rss_x", ratio(static_cast<double>(p.on.rss_kb),
+                               static_cast<double>(p.off.rss_kb))},
+         {"sparse_bytes", p.on.sparse_bytes}, {"dense_bytes", p.dense_bytes},
          {"bytes_per_device",
-          static_cast<double>(p.sparse_bytes) / p.devices},
-         {"fabric_rows", p.fabric_rows}, {"check_ok", true}}));
+          static_cast<double>(p.on.sparse_bytes) / p.on.devices},
+         {"fabric_rows", p.on.fabric_rows}, {"check_ok", true}}));
   const util::JsonValue doc = bench::object(
       {{"schema", prov.tag()},
        {"provenance", bench::provenance(prov)},
-       {"trajectory", bench::trajectory(
-                          out, append, prov, mode,
-                          {{"devices", top.devices},
-                           {"events_per_sec", top.events_per_sec},
-                           {"sparse_bytes", top.sparse_bytes}},
-                          "events_per_sec")},
+       {"trajectory",
+        bench::trajectory(
+            out, append, prov, mode,
+            {{"devices", top.on.devices},
+             {"events_per_sec", per_sec(top.on)},
+             {"check_wall_x", ratio(top.on.wall_s, top.off.wall_s)},
+             {"check_rss_x", ratio(static_cast<double>(top.on.rss_kb),
+                                   static_cast<double>(top.off.rss_kb))},
+             {"sparse_bytes", top.on.sparse_bytes}},
+            "events_per_sec")},
        {"mode", mode},
        {"points", std::move(rows)},
        {"gates", bench::object({{"check", "ok"},
+                                {"passive", "ok"},
                                 {"sparse_vs_dense", "ok"},
                                 {"per_device_bounded", "ok"}})}});
   if (!bench::write_artifact(out, doc)) return 2;
