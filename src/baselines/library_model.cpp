@@ -7,6 +7,7 @@
 
 #include "baselines/common.hpp"
 #include "fault/injector.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/ledger.hpp"
 
 namespace xkb::baselines {
@@ -381,10 +382,10 @@ BenchResult run_plan(
     // data loss, checker violations seen after the run).
     if (!dump_reason.empty()) {
       if (o->flight_dump().empty())
-        o->set_flight_dump(o->flight().dump_json(
-            dump_reason, obs::ledger_json(obs::build_ledger(
-                             plat.trace(), plat.topology(), o.get(), 0,
-                             meta))));
+        o->set_flight_dump(obs::flight_dump_json(
+            *o, dump_reason,
+            obs::ledger_json(obs::build_ledger(plat.trace(), plat.topology(),
+                                               o.get(), 0, meta))));
       res.flight_json = o->flight_dump();
     }
     // Keep the artifact inputs past the Platform's lifetime; the retained

@@ -24,6 +24,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/small_fn.hpp"
+#include "trace/trace.hpp"
 
 namespace xkb::mem {
 
@@ -70,13 +71,15 @@ struct Replica {
   //     cancelling a DMA),
   //   * fetch_src records where the bytes come from (device id, kFetchHost,
   //     or kFetchParked while waiting for a lost tile to be recomputed),
-  //   * fetch_waiting marks a chained reception: registered on the source
-  //     replica's chained_dsts, no transfer issued yet,
+  //   * fetch_waiting marks a chained reception -- registered on the source
+  //     replica's chained_dsts, no transfer issued yet -- with the kind of
+  //     wait (optimistic or forced) that the forwarding copy's trace record
+  //     carries; kNone when a copy is issued or nothing is fetched,
   //   * fetch_attempts counts failed attempts for the retry-backoff cap.
   std::uint32_t fetch_gen = 0;
   std::uint16_t fetch_attempts = 0;
   int fetch_src = kFetchIdle;
-  bool fetch_waiting = false;
+  trace::Chain fetch_waiting = trace::Chain::kNone;
   std::vector<int> chained_dsts;  ///< receptions chained on THIS arrival
 
   // Intrusive LRU linkage, owned by the DeviceCache the replica is resident

@@ -1,16 +1,16 @@
-// Crash flight recorder: a bounded ring of the last N observable events,
-// source decisions, and fault-lane triggers, dumped together with a
-// ledger snapshot when a run dies -- watchdog stall, checker violation,
-// or an exception unwinding out of Engine::run.  A chaos_matrix failure
-// then reads as a last-seconds timeline ("brownout hit p2p1-0, three
-// transfers queued behind it, gpu1's fetch picked wait-device, nothing
-// progressed since t=...") instead of a bare hash mismatch or a
-// StuckProgress one-liner.
+// Crash flight recorder: the last N observable events -- kernels and
+// transfers from the trace, source decisions and fault-lane triggers from
+// obs -- dumped together with a ledger snapshot when a run dies: watchdog
+// stall, checker violation, or an exception unwinding out of Engine::run.
+// A chaos_matrix failure then reads as a last-seconds timeline ("brownout
+// hit p2p1-0, three transfers queued behind it, gpu1's fetch picked
+// wait-device, nothing progressed since t=...") instead of a bare hash
+// mismatch or a StuckProgress one-liner.
 //
-// The ring records through the same Observability hooks the metrics
-// already use, so it costs one bounded-copy per observed event and
-// nothing on the simulation's virtual-time lane; recording is always on
-// while an Observability instance is attached.
+// Nothing is recorded for it while the run is alive: the timeline is
+// derived at the failure site from the records obs and the trace already
+// keep, merged by virtual time (a kernel or transfer stands at its end,
+// a decision or fault mark at its instant), and only the last N kept.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
+#include "obs/obs.hpp"
 
 namespace xkb::obs {
 
@@ -26,83 +26,34 @@ struct FlightEntry {
   enum class Kind : std::uint8_t {
     kKernel,    ///< kernel completion (a = device)
     kTransfer,  ///< h2d/d2d/d2h completion (a = src or -1 host, b = dst)
-    kWait,      ///< wait-for-inflight decision applied (a = src, b = dst)
     kDecision,  ///< choose_source pick (a = picked_dev, b = dst)
     kFault,     ///< fault-plan trigger or recovery action
   };
-  static constexpr std::size_t kTagLen = 48;
 
   sim::Time t = 0.0;
   Kind kind = Kind::kKernel;
   int a = -1, b = -1;
   std::uint64_t handle = 0;
   std::size_t bytes = 0;
-  char tag[kTagLen] = {};  ///< label / pick / fault kind, truncated
+  std::string tag;  ///< kernel label / transfer class / pick / fault kind
 };
 
 const char* to_string(FlightEntry::Kind k);
 
-class FlightRecorder {
- public:
-  static constexpr std::size_t kDefaultCapacity = 256;
+/// Entries a dump keeps.
+inline constexpr std::size_t kFlightCapacity = 256;
 
-  explicit FlightRecorder(std::size_t capacity = kDefaultCapacity)
-      : cap_(capacity ? capacity : 1) {
-    ring_.resize(cap_);
-  }
+/// The last kFlightCapacity entries of the attached trace, the decisions
+/// and the fault marks of `o`, oldest first (non-decreasing t; ties keep
+/// trace, decision, fault order, each stream in its own order).  Built only
+/// at a failure site; it holds one entry per record while it sorts.
+std::vector<FlightEntry> flight_timeline(const Observability& o);
 
-  /// Push one entry, overwriting the oldest once the ring is full.
-  void record(const FlightEntry& e) { next_slot() = e; }
-
-  /// Convenience: build the entry in place (tag truncated to kTagLen-1).
-  void note(sim::Time t, FlightEntry::Kind kind, int a, int b,
-            std::uint64_t handle, std::size_t bytes, const char* tag) {
-    FlightEntry& e = next_slot();
-    e.t = t;
-    e.kind = kind;
-    e.a = a;
-    e.b = b;
-    e.handle = handle;
-    e.bytes = bytes;
-    std::size_t i = 0;
-    if (tag)
-      for (; i + 1 < FlightEntry::kTagLen && tag[i]; ++i) e.tag[i] = tag[i];
-    e.tag[i] = '\0';
-  }
-
-  std::uint64_t total() const { return total_; }
-  std::size_t capacity() const { return cap_; }
-  std::size_t size() const {
-    return total_ < cap_ ? static_cast<std::size_t>(total_) : cap_;
-  }
-
-  /// Retained entries, oldest first.
-  std::vector<FlightEntry> timeline() const;
-
-  void clear() {
-    total_ = 0;
-    head_ = 0;
-  }
-
-  /// The dump artifact (schema xkb.obs.flight/1): reason, drop stats, the
-  /// last-N timeline, and the caller-built ledger snapshot embedded
-  /// verbatim under "ledger" (pass "null" when no ledger is available).
-  std::string dump_json(const std::string& reason,
-                        const std::string& ledger_snapshot_json) const;
-
- private:
-  /// The slot the next entry overwrites; advances the ring.
-  FlightEntry& next_slot() {
-    FlightEntry& e = ring_[head_];
-    if (++head_ == cap_) head_ = 0;
-    ++total_;
-    return e;
-  }
-
-  std::size_t cap_;
-  std::uint64_t total_ = 0;
-  std::size_t head_ = 0;  ///< == total_ % cap_
-  std::vector<FlightEntry> ring_;
-};
+/// The dump artifact (schema xkb.obs.flight/1): reason, the number of
+/// entries seen and retained, the timeline, and the caller-built ledger
+/// snapshot embedded verbatim under "ledger" (pass "null" when no ledger
+/// is available).
+std::string flight_dump_json(const Observability& o, const std::string& reason,
+                             const std::string& ledger_snapshot_json);
 
 }  // namespace xkb::obs

@@ -1,6 +1,7 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <map>
 
 namespace xkb::obs {
 
@@ -31,13 +32,6 @@ sim::UsageProbe* Observability::make_link_probe(std::string name,
   return links_.back().get();
 }
 
-void Observability::on_kernel(int dev, const std::string& label,
-                              sim::Interval iv) {
-  if (iv.end > last_event_) last_event_ = iv.end;
-  flight_.note(iv.end, FlightEntry::Kind::kKernel, dev, -1, 0, 0,
-               label.c_str());
-}
-
 void Observability::on_cache_ref(int dev, CacheRef ref) {
   auto d = static_cast<std::size_t>(dev);
   switch (ref) {
@@ -55,29 +49,9 @@ void Observability::on_evict(int dev, bool dirty) {
     ++evict_clean_[d];
 }
 
-void Observability::on_wait(std::uint64_t handle, int src, int dst,
-                            bool forced) {
-  if (forced)
-    ++forced_waits_;
-  else
-    ++opt_waits_;
-  rx_[RxKey{handle, dst}].wait = forced ? 1 : 0;
-  flight_.note(last_event_, FlightEntry::Kind::kWait, src, dst, handle, 0,
-               forced ? "forced" : "optimistic");
-}
-
-void Observability::on_decision(Decision d) {
-  if (d.t > last_event_) last_event_ = d.t;
-  flight_.note(d.t, FlightEntry::Kind::kDecision, d.picked_dev, d.dst,
-               d.handle, 0, to_string(d.pick));
-  decisions_.push_back(std::move(d));
-}
-
 void Observability::on_fault_mark(sim::Time t, std::string what,
                                   std::string detail) {
-  if (t > last_event_) last_event_ = t;
   count_fault(what);
-  flight_.note(t, FlightEntry::Kind::kFault, -1, -1, 0, 0, what.c_str());
   fault_marks_.push_back(FaultMark{t, std::move(what), std::move(detail)});
 }
 
@@ -90,40 +64,20 @@ void Observability::count_fault(const std::string& what, double n) {
   fault_counts_.emplace_back(what, n);
 }
 
-void Observability::on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
-                                sim::Interval iv, std::size_t bytes,
-                                bool chained) {
-  if (iv.end > last_event_) last_event_ = iv.end;
-  {
-    const char* tag = k == Xfer::kH2D ? "h2d" : k == Xfer::kD2D ? "d2d"
-                                                                : "d2h";
-    flight_.note(iv.end, FlightEntry::Kind::kTransfer,
-                 k == Xfer::kH2D ? -1 : src, k == Xfer::kD2H ? -1 : dst,
-                 handle, bytes, chained ? (k == Xfer::kD2D ? "d2d-chained"
-                                                           : tag)
-                                        : tag);
+std::vector<Flow> derive_flows(const trace::Trace& tr) {
+  // The last reception (HtoD or PtoP record) into each (tile, device).
+  std::map<std::pair<std::uint64_t, int>, const trace::Record*> last_rx;
+  std::vector<Flow> flows;
+  for (const trace::Record& r : tr.records()) {
+    if (r.tile == trace::kNoTile || (r.kind != trace::OpKind::kHtoD &&
+                                     r.kind != trace::OpKind::kPtoP))
+      continue;
+    if (r.chain != trace::Chain::kNone)
+      if (auto rx = last_rx.find({r.tile, r.peer}); rx != last_rx.end())
+        flows.push_back({rx->second, &r});
+    last_rx[{r.tile, r.device}] = &r;
   }
-  if (k == Xfer::kD2H) return;
-  RxState& to = rx_[RxKey{handle, dst}];
-  if (k == Xfer::kD2D && chained) {
-    // This copy is the forwarding leg of a wait: connect it back to the
-    // reception it chained off (still the most recent rx on `src`).
-    auto from = rx_.find(RxKey{handle, src});
-    if (from != rx_.end() && from->second.tid) {
-      Flow f;
-      f.handle = handle;
-      f.src_dev = src;
-      f.dst_dev = dst;
-      f.src_tid = from->second.tid;
-      f.src_iv = from->second.iv;
-      f.dst_iv = iv;
-      f.forced = to.wait == 1;
-      flows_.push_back(f);
-    }
-    to.wait = -1;
-  }
-  to.tid = k == Xfer::kH2D ? 1 : 3;
-  to.iv = iv;
+  return flows;
 }
 
 Series* Observability::ready_series(int dev) {
@@ -134,7 +88,9 @@ Series* Observability::ready_series(int dev) {
 }
 
 sim::Time Observability::span() const {
-  sim::Time s = last_event_;
+  sim::Time s = trace_ ? trace_->span() : 0.0;
+  for (const Decision& d : decisions_) s = std::max(s, d.t);
+  for (const FaultMark& f : fault_marks_) s = std::max(s, f.t);
   for (const auto& l : links_)
     if (l->last_end() > s) s = l->last_end();
   return s;
@@ -143,7 +99,6 @@ sim::Time Observability::span() const {
 void Observability::clear() {
   for (auto& l : links_) l->reset();
   decisions_.clear();
-  flows_.clear();
   fault_marks_.clear();
   fault_counts_.clear();
   std::fill(hits_.begin(), hits_.end(), 0);
@@ -151,10 +106,6 @@ void Observability::clear() {
   std::fill(inflight_hits_.begin(), inflight_hits_.end(), 0);
   std::fill(evict_clean_.begin(), evict_clean_.end(), 0);
   std::fill(evict_dirty_.begin(), evict_dirty_.end(), 0);
-  opt_waits_ = forced_waits_ = 0;
-  last_event_ = 0.0;
-  rx_.clear();
-  flight_.clear();
   flight_dump_.clear();
   reg_.reset_values();
 }
@@ -196,11 +147,16 @@ void Observability::finalize_registry() {
       set(p + "dtoh", t.dtoh);
       set(p + "ptop", t.ptop);
     }
+    set("flows", static_cast<double>(derive_flows(*trace_).size()));
+    reg_.set_gauge("span", span());
   }
-  set("waits.optimistic", static_cast<double>(opt_waits_));
-  set("waits.forced", static_cast<double>(forced_waits_));
+  // Every kWaitDevice decision is exactly one wait.
+  std::uint64_t waits[2] = {};  // optimistic, forced
+  for (const Decision& d : decisions_)
+    if (d.pick == Pick::kWaitDevice) ++waits[d.forced ? 1 : 0];
+  set("waits.optimistic", static_cast<double>(waits[0]));
+  set("waits.forced", static_cast<double>(waits[1]));
   set("decisions", static_cast<double>(decisions_.size()));
-  set("flows", static_cast<double>(flows_.size()));
   for (const auto& kv : fault_counts_) set("fault." + kv.first, kv.second);
   std::uint64_t hits = 0, misses = 0, inflight = 0, ec = 0, ed = 0;
   for (int g = 0; g < gpus_; ++g) {
@@ -227,7 +183,6 @@ void Observability::finalize_registry() {
     set("link." + l->name() + ".busy", l->busy());
     set("link." + l->name() + ".ops", static_cast<double>(l->ops()));
   }
-  reg_.set_gauge("span", span());
 }
 
 }  // namespace xkb::obs

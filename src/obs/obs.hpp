@@ -11,12 +11,20 @@
 // observation point, same contract as the checker).
 //
 // One record per fact: the platform's trace::Trace is the only record of
-// transfers and kernels.  This layer keeps only what the trace lacks --
-// source decisions, waits and the forwarding flows they chain, link probes
-// (which also see the shadow host-link occupancy of cross-switch peer
-// copies), fault marks, cache references, evictions and the flight ring --
-// and derives the transfer/time/byte counters from the trace when the
-// registry is finalized.
+// transfers and kernels, each transfer stamped with its tile and, for a
+// peer copy, the wait it forwards (trace::Chain).  This layer records only
+// what the trace lacks:
+//   * source decisions (every kWaitDevice decision is one wait),
+//   * fault marks and fault/recovery counts,
+//   * cache references and evictions,
+//   * link probes (which also see the shadow host-link occupancy of
+//     cross-switch peer copies),
+//   * the per-device ready-queue series.
+// Everything else is derived when an artifact is built: the transfer, time
+// and byte counters, waits.* and span at finalize_registry(), forwarding
+// flows by derive_flows(), and the crash timeline by flight_timeline()
+// (flight_recorder.hpp).  No Platform or DataManager hook runs per transfer
+// or per kernel.
 //
 // Ownership: an Observability instance is created by the driver (bench
 // skeleton, CLI, test) and attached to the Platform *before* the Runtime is
@@ -30,11 +38,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/probes.hpp"
 #include "sim/engine.hpp"
@@ -69,8 +75,6 @@ struct ObsConfig {
 enum class Pick : std::uint8_t { kHost, kDevice, kWaitDevice, kWaitHost };
 const char* to_string(Pick p);
 
-enum class Xfer : std::uint8_t { kH2D, kD2D, kD2H };
-
 /// How an ensure_valid request hit the software cache.
 enum class CacheRef : std::uint8_t { kHit, kMiss, kInFlightHit };
 
@@ -102,18 +106,21 @@ struct FaultMark {
   std::string detail;  ///< human-readable description for the export
 };
 
-/// One transfer-forwarding chain: a reception on `src_dev` whose completion
-/// triggered a device-to-device copy to `dst_dev` (the Section III-C
-/// optimistic heuristic, or a coherence-forced wait).  Rendered as a flow
-/// arrow between the two slices in the Chrome export.
+/// One transfer-forwarding chain (the Section III-C optimistic heuristic,
+/// or a coherence-forced wait): the reception `rx` whose completion
+/// triggered the chained peer copy `fwd`: records of the trace the flow was
+/// derived from, valid while that trace is neither cleared nor grown.
+/// Rendered as a flow arrow between the two slices in the Chrome export.
 struct Flow {
-  std::uint64_t handle = 0;
-  int src_dev = -1, dst_dev = -1;
-  int src_tid = 1;  ///< Chrome sub-track of the incoming reception
-  bool forced = false;
-  sim::Interval src_iv;  ///< the reception that was waited on
-  sim::Interval dst_iv;  ///< the forwarded D2D copy
+  const trace::Record* rx = nullptr;
+  const trace::Record* fwd = nullptr;
 };
+
+/// The forwarding chains of `tr`, in record order: each chained PtoP record
+/// links to the last HtoD/PtoP record into (its tile, its source device)
+/// before it.  A chained copy with no recorded reception at its source
+/// (cleared by a multi-phase run) yields no flow.
+std::vector<Flow> derive_flows(const trace::Trace& tr);
 
 class Observability {
  public:
@@ -128,19 +135,11 @@ class Observability {
   /// attaches the returned pointer to the sim resource.
   sim::UsageProbe* make_link_probe(std::string name, std::string cls,
                                    LinkDir dir, int src, int dst);
-  void on_kernel(int dev, const std::string& label, sim::Interval iv);
 
   // --- data-manager hooks ---
   void on_cache_ref(int dev, CacheRef ref);
   void on_evict(int dev, bool dirty);
-  /// A kWaitDevice decision: the request on `dst` now waits for the
-  /// reception ongoing on `src` (forced = coherence, else optimistic).
-  void on_wait(std::uint64_t handle, int src, int dst, bool forced);
-  void on_decision(Decision d);
-  /// `chained` marks a D2D copy issued by a reception-completion waiter
-  /// (the forwarding leg of a wait) -- it closes the pending Flow.
-  void on_transfer(Xfer k, std::uint64_t handle, int src, int dst,
-                   sim::Interval iv, std::size_t bytes, bool chained);
+  void on_decision(Decision d) { decisions_.push_back(std::move(d)); }
 
   // --- fault hooks (platform link mutations + runtime recovery) ---
   /// Record a fault instant: `what` is the counter key (becomes the
@@ -161,10 +160,7 @@ class Observability {
   void set_ledger_meta(LedgerMeta m) { ledger_meta_ = std::move(m); }
   const LedgerMeta& ledger_meta() const { return ledger_meta_; }
 
-  // --- flight recorder ---
-  /// Last-N ring fed by the hooks above; always recording while attached.
-  FlightRecorder& flight() { return flight_; }
-  const FlightRecorder& flight() const { return flight_; }
+  // --- crash dump (flight_recorder.hpp composes it) ---
   /// Stash the crash dump composed at the failure site (watchdog stall,
   /// checker violation, exception unwind); the bench skeleton retrieves it
   /// after the catch.  First dump wins -- the failure closest to the cause.
@@ -178,9 +174,9 @@ class Observability {
     return links_;
   }
   const std::vector<Decision>& decisions() const { return decisions_; }
-  const std::vector<Flow>& flows() const { return flows_; }
   const std::vector<FaultMark>& fault_marks() const { return fault_marks_; }
-  /// Latest virtual time observed by any hook or probe.
+  /// Latest virtual time in the attached trace, the decisions, the fault
+  /// marks and the link probes.
   sim::Time span() const;
 
   /// Reset every measurement in place (probes stay attached, cached series
@@ -191,13 +187,16 @@ class Observability {
   /// Platform::set_obs.  Detach (null) before the trace's owner dies: the
   /// derived counters then keep the values of the last finalize.
   void set_trace(const trace::Trace* tr) { trace_ = tr; }
+  const trace::Trace* trace() const { return trace_; }
 
   /// Fold the measured values into the registry under canonical names
   /// (transfers.*, waits.*, cache.*, evict.*, time.*, bytes.*, link.*,
-  /// gpu<g>.*).  transfers.*, time.*, bytes.* and gpu<g>.time.* come from
-  /// one pass over the attached trace, attributed like the trace: HtoD and
-  /// PtoP to the receiving device, DtoH to the source, kernels to theirs.
-  /// Idempotent; call before exporting the registry.
+  /// gpu<g>.*, flows, decisions).  transfers.*, time.*, bytes.* and
+  /// gpu<g>.time.* come from one pass over the attached trace, attributed
+  /// like the trace: HtoD and PtoP to the receiving device, DtoH to the
+  /// source, kernels to theirs; flows and the span gauge also need the
+  /// trace; waits.* count the kWaitDevice decisions.  Idempotent; call
+  /// before exporting the registry.
   void finalize_registry();
 
  private:
@@ -205,42 +204,16 @@ class Observability {
   MetricsRegistry reg_;
   std::vector<std::unique_ptr<LinkProbe>> links_;
   std::vector<Decision> decisions_;
-  std::vector<Flow> flows_;
   std::vector<FaultMark> fault_marks_;
   std::vector<std::pair<std::string, double>> fault_counts_;  // insertion order
   std::vector<Series*> ready_;  ///< cached "ready.gpu<g>" series
   const trace::Trace* trace_ = nullptr;
 
-  FlightRecorder flight_;
   std::string flight_dump_;
   LedgerMeta ledger_meta_;
 
   std::vector<std::uint64_t> hits_, misses_, inflight_hits_;
   std::vector<std::uint64_t> evict_clean_, evict_dirty_;
-  std::uint64_t opt_waits_ = 0, forced_waits_ = 0;
-  sim::Time last_event_ = 0.0;
-
-  /// Per (handle, device): the last reception into it and the wait that
-  /// will forward a copy to it, for flow reconstruction.  The key keeps
-  /// both fields whole, so no two (handle, device) pairs share one,
-  /// whatever the device count.
-  struct RxKey {
-    std::uint64_t handle = 0;
-    int dev = 0;
-    bool operator==(const RxKey&) const = default;
-  };
-  struct RxKeyHash {
-    std::size_t operator()(const RxKey& k) const {
-      return static_cast<std::size_t>(k.handle * 0x9E3779B97F4A7C15ull ^
-                                      static_cast<std::uint64_t>(k.dev));
-    }
-  };
-  struct RxState {
-    int tid = 0;  ///< Chrome sub-track of the last reception; 0 = none yet
-    sim::Interval iv;
-    std::int8_t wait = -1;  ///< pending wait: -1 none, 0 optimistic, 1 forced
-  };
-  std::unordered_map<RxKey, RxState, RxKeyHash> rx_;
 };
 
 }  // namespace xkb::obs

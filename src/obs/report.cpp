@@ -68,7 +68,7 @@ RunReport build_report(const trace::Trace& tr, const topo::Topology& topo,
       row.q_max = l->queue().max;
       r.links.push_back(std::move(row));
     }
-    r.flows = o->flows().size();
+    r.flows = derive_flows(tr).size();
     r.decisions = o->decisions().size();
   } else {
     // No live probes: re-derive per-link occupancy from the records.  This
@@ -235,17 +235,15 @@ std::string report_json(const RunReport& r, const Observability* o) {
 }
 
 std::string to_chrome_json(const trace::Trace& tr, const Observability& o) {
-  std::string base = trace::to_chrome_json(tr);
-  // Reopen the base array: strip the closing "\n]\n".
-  const std::size_t close = base.rfind(']');
-  if (close == std::string::npos) return base;
-  std::size_t cut = close;
-  while (cut > 0 && (base[cut - 1] == '\n' || base[cut - 1] == ' ')) --cut;
-  base.resize(cut);
-
+  // Object form (Chrome/Perfetto accept both): lets the export carry the
+  // same provenance stamp as every other emitted artifact.
   std::ostringstream out;
+  out << "{\n\"provenance\": "
+      << Provenance::current("xkb.obs.trace", 1).to_json()
+      << ",\n\"traceEvents\": ";
+  trace::ChromeEvents ev(out);
+  trace::write_chrome_events(tr, ev);
   out.precision(15);
-  auto emit = [&](const std::string& ev) { out << ",\n  " << ev; };
 
   // "decide" sub-track names for every device that recorded a decision.
   std::vector<bool> has_dec;
@@ -254,93 +252,76 @@ std::string to_chrome_json(const trace::Trace& tr, const Observability& o) {
       has_dec.resize(static_cast<std::size_t>(d.dst) + 1, false);
     if (d.dst >= 0) has_dec[static_cast<std::size_t>(d.dst)] = true;
   }
-  for (std::size_t g = 0; g < has_dec.size(); ++g) {
-    if (!has_dec[g]) continue;
-    std::ostringstream m;
-    m << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << g
-      << ", \"tid\": 4, \"args\": {\"name\": \"decide\"}}";
-    emit(m.str());
-  }
+  for (std::size_t g = 0; g < has_dec.size(); ++g)
+    if (has_dec[g])
+      ev.next() << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << g
+                << ", \"tid\": 4, \"args\": {\"name\": \"decide\"}}";
 
   // Source-selection decisions as instant events with the candidate set.
   for (const Decision& d : o.decisions()) {
-    std::ostringstream e;
-    e.precision(15);
-    e << "{\"name\": \"pick:" << to_string(d.pick)
-      << "\", \"cat\": \"decision\", \"ph\": \"i\", \"s\": \"t\", \"pid\": "
-      << d.dst << ", \"tid\": 4, \"ts\": " << d.t * 1e6
-      << ", \"args\": {\"tile\": " << d.handle << ", \"picked_dev\": "
-      << d.picked_dev << ", \"forced\": " << (d.forced ? "true" : "false")
-      << ", \"candidates\": \"";
+    ev.next() << "{\"name\": \"pick:" << to_string(d.pick)
+              << "\", \"cat\": \"decision\", \"ph\": \"i\", \"s\": \"t\", "
+                 "\"pid\": "
+              << d.dst << ", \"tid\": 4, \"ts\": " << d.t * 1e6
+              << ", \"args\": {\"tile\": " << d.handle << ", \"picked_dev\": "
+              << d.picked_dev << ", \"forced\": "
+              << (d.forced ? "true" : "false") << ", \"candidates\": \"";
     bool cf = true;
     for (const Decision::Candidate& c : d.candidates) {
-      e << (cf ? "" : "; ") << "gpu" << c.dev << " rank" << c.rank
-        << (c.in_flight ? " in-flight" : "");
+      out << (cf ? "" : "; ") << "gpu" << c.dev << " rank" << c.rank
+          << (c.in_flight ? " in-flight" : "");
       cf = false;
     }
-    e << "\"}}";
-    emit(e.str());
+    out << "\"}}";
   }
 
   // Fault-plan applications and recovery milestones as global instants on
   // a dedicated "faults" track, so a brownout or device loss can be read
   // in context with the transfers it perturbed.
   if (!o.fault_marks().empty()) {
-    emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 990"
-         ", \"args\": {\"name\": \"faults\"}}");
-    for (const FaultMark& f : o.fault_marks()) {
-      std::ostringstream e;
-      e.precision(15);
-      e << "{\"name\": \"" << trace::json_escape(f.what)
-        << "\", \"cat\": \"fault\", \"ph\": \"i\", \"s\": \"g\", \"pid\": 990"
-        << ", \"tid\": 0, \"ts\": " << f.t * 1e6
-        << ", \"args\": {\"detail\": \"" << trace::json_escape(f.detail)
-        << "\"}}";
-      emit(e.str());
-    }
+    ev.next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 990"
+                 ", \"args\": {\"name\": \"faults\"}}";
+    for (const FaultMark& f : o.fault_marks())
+      ev.next() << "{\"name\": \"" << trace::json_escape(f.what)
+                << "\", \"cat\": \"fault\", \"ph\": \"i\", \"s\": \"g\", "
+                   "\"pid\": 990, \"tid\": 0, \"ts\": "
+                << f.t * 1e6 << ", \"args\": {\"detail\": \""
+                << trace::json_escape(f.detail) << "\"}}";
   }
 
   // Ready-queue depth as counter tracks (one per device).
   for (const auto& [name, s] : o.metrics().series_map()) {
     if (name.rfind("ready.gpu", 0) != 0 || s.empty()) continue;
     const int pid = std::stoi(name.substr(9));
-    for (const SeriesPoint& p : s.points()) {
-      std::ostringstream e;
-      e.precision(15);
-      e << "{\"name\": \"ready-queue\", \"ph\": \"C\", \"pid\": " << pid
-        << ", \"ts\": " << p.t * 1e6 << ", \"args\": {\"depth\": " << p.v
-        << "}}";
-      emit(e.str());
-    }
+    for (const SeriesPoint& p : s.points())
+      ev.next() << "{\"name\": \"ready-queue\", \"ph\": \"C\", \"pid\": " << pid
+                << ", \"ts\": " << p.t * 1e6 << ", \"args\": {\"depth\": " << p.v
+                << "}}";
   }
 
   // Forwarding chains as flow arrows: reception -> chained D2D copy.  The
   // binding points sit mid-slice so the arrows attach to the right events.
   int id = 0;
-  for (const Flow& f : o.flows()) {
-    const char* name = f.forced ? "forced-chain" : "optimistic-chain";
-    const double ts_s = (f.src_iv.start + f.src_iv.end) * 0.5e6;
-    const double ts_f = (f.dst_iv.start + f.dst_iv.end) * 0.5e6;
-    std::ostringstream s;
-    s.precision(15);
-    s << "{\"name\": \"" << name << "\", \"cat\": \"chain\", \"ph\": \"s\""
-      << ", \"id\": " << id << ", \"pid\": " << f.src_dev << ", \"tid\": "
-      << f.src_tid << ", \"ts\": " << ts_s << "}";
-    emit(s.str());
-    std::ostringstream e;
-    e.precision(15);
-    e << "{\"name\": \"" << name << "\", \"cat\": \"chain\", \"ph\": \"f\""
-      << ", \"bp\": \"e\", \"id\": " << id << ", \"pid\": " << f.dst_dev
-      << ", \"tid\": 3, \"ts\": " << ts_f << "}";
-    emit(e.str());
+  for (const Flow& f : derive_flows(tr)) {
+    const char* name = f.fwd->chain == trace::Chain::kForced
+                           ? "forced-chain"
+                           : "optimistic-chain";
+    ev.next() << "{\"name\": \"" << name
+              << "\", \"cat\": \"chain\", \"ph\": \"s\", \"id\": " << id
+              << ", \"pid\": " << f.fwd->peer
+              << ", \"tid\": " << trace::chrome_tid(f.rx->kind)
+              << ", \"ts\": " << (f.rx->start + f.rx->end) * 0.5e6 << "}";
+    ev.next() << "{\"name\": \"" << name
+              << "\", \"cat\": \"chain\", \"ph\": \"f\", \"bp\": \"e\", "
+                 "\"id\": "
+              << id << ", \"pid\": " << f.fwd->device
+              << ", \"tid\": 3, \"ts\": "
+              << (f.fwd->start + f.fwd->end) * 0.5e6 << "}";
     ++id;
   }
-
-  // Object form (Chrome/Perfetto accept both): lets the export carry the
-  // same provenance stamp as every other emitted artifact.
-  return "{\n\"provenance\": " +
-         Provenance::current("xkb.obs.trace", 1).to_json() +
-         ",\n\"traceEvents\": " + base + out.str() + "\n]\n}\n";
+  ev.close();
+  out << "}\n";
+  return out.str();
 }
 
 }  // namespace xkb::obs

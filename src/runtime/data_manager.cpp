@@ -137,7 +137,7 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
       throw fault::UnrecoverableDataLoss(os.str());
     }
     r.fetch_src = mem::kFetchParked;
-    r.fetch_waiting = false;
+    r.fetch_waiting = trace::Chain::kNone;
     if (obs::Observability* o = plat_->obs()) o->count_fault("parked_fetch");
     return;
   }
@@ -203,18 +203,17 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
       // configuration and are tallied separately.
       const int g = s.dev;
       (s.forced ? stats_.forced_waits : stats_.optimistic_waits)++;
-      if (obs::Observability* o = plat_->obs())
-        o->on_wait(h->id, g, dev, s.forced);
       h->dev[g].pins++;  // survive until the forwarding copy completes
       r.eta = h->dev[g].eta;  // rough: refined when the copy is issued
       r.fetch_src = g;
-      r.fetch_waiting = true;
+      r.fetch_waiting =
+          s.forced ? trace::Chain::kForced : trace::Chain::kOptimistic;
       h->dev[g].chained_dsts.push_back(dev);
       break;
     }
     case Source::kWaitHost:
       r.fetch_src = mem::kFetchHost;
-      r.fetch_waiting = true;
+      r.fetch_waiting = trace::Chain::kForced;
       h->host.chained_dsts.push_back(dev);
       break;
     case Source::kNone:
@@ -227,7 +226,7 @@ void DataManager::replan_fetch(mem::DataHandle* h, int dev) {
   if (r.state != mem::ReplicaState::kInFlight) return;
   r.fetch_gen++;  // cancel whatever copy or chain was feeding this replica
   r.fetch_src = mem::kFetchIdle;
-  r.fetch_waiting = false;
+  r.fetch_waiting = trace::Chain::kNone;
   plan_fetch(h, dev);
 }
 
@@ -240,7 +239,8 @@ bool DataManager::reception_fed(const mem::DataHandle& h, int dev) const {
       return false;  // aborted (awaiting backoff) or parked for a replay
     if (r.fetch_src == mem::kFetchHost) return true;
     if (plat_->device_failed(r.fetch_src)) return false;
-    if (!r.fetch_waiting) return true;  // an actual copy feeds the chain
+    if (r.fetch_waiting == trace::Chain::kNone)
+      return true;  // an actual copy feeds the chain
     cur = r.fetch_src;
   }
   return false;  // cycle: never chain on it
@@ -348,7 +348,7 @@ void DataManager::reserve_with_flushes(mem::DataHandle* h, int dev) {
 void DataManager::issue_h2d(mem::DataHandle* h, int dst) {
   mem::Replica& r = h->dev[dst];
   r.fetch_src = mem::kFetchHost;
-  r.fetch_waiting = false;
+  r.fetch_waiting = trace::Chain::kNone;
   const std::uint32_t gen = r.fetch_gen;
   bool fail = false;
   if (fault::Injector* f = plat_->fault())
@@ -366,22 +366,19 @@ void DataManager::issue_h2d(mem::DataHandle* h, int dst) {
     }
     if (plat_->options().functional) pack_tile(*h, h->dev_buf[dst].data());
     complete_arrival(h, dst);
-  });
+  }, h->id);
   if (check::Checker* c = plat_->checker())
     c->on_transfer_issue(check::TransferKind::kH2D, h, -1, dst, iv.start,
                          iv.end);
-  if (obs::Observability* o = plat_->obs())
-    o->on_transfer(obs::Xfer::kH2D, h->id, -1, dst, iv, h->bytes(),
-                   /*chained=*/false);
   r.eta = iv.end;
 }
 
 void DataManager::issue_p2p(mem::DataHandle* h, int src, int dst,
-                            bool chained) {
+                            trace::Chain chain) {
   assert(h->dev[src].state == mem::ReplicaState::kValid);
   mem::Replica& r = h->dev[dst];
   r.fetch_src = src;
-  r.fetch_waiting = false;
+  r.fetch_waiting = trace::Chain::kNone;
   const std::uint32_t gen = r.fetch_gen;
   bool fail = false;
   if (fault::Injector* f = plat_->fault())
@@ -400,12 +397,10 @@ void DataManager::issue_p2p(mem::DataHandle* h, int src, int dst,
       std::memcpy(h->dev_buf[dst].data(), h->dev_buf[src].data(), h->bytes());
     unpin(h, src);
     complete_arrival(h, dst);
-  });
+  }, h->id, chain);
   if (check::Checker* c = plat_->checker())
     c->on_transfer_issue(check::TransferKind::kD2D, h, src, dst, iv.start,
                          iv.end);
-  if (obs::Observability* o = plat_->obs())
-    o->on_transfer(obs::Xfer::kD2D, h->id, src, dst, iv, h->bytes(), chained);
   r.eta = iv.end;
 }
 
@@ -439,7 +434,7 @@ void DataManager::reception_failed(mem::DataHandle* h, int src, int dst) {
                          static_cast<std::size_t>(rp.max_transfer_retries));
   r.fetch_gen++;
   r.fetch_src = mem::kFetchIdle;
-  r.fetch_waiting = false;
+  r.fetch_waiting = trace::Chain::kNone;
   const std::uint32_t gen = r.fetch_gen;
   const double delay = rp.backoff_for(attempts);
   auto retry = [this, h, dst, gen] {
@@ -459,7 +454,7 @@ void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
   assert(r.state == mem::ReplicaState::kInFlight);
   r.state = mem::ReplicaState::kValid;
   r.fetch_src = mem::kFetchIdle;
-  r.fetch_waiting = false;
+  r.fetch_waiting = trace::Chain::kNone;
   r.fetch_attempts = 0;
   if (check::Checker* c = plat_->checker())
     c->on_arrival(h, dev, plat_->engine().now());
@@ -471,9 +466,9 @@ void DataManager::complete_arrival(mem::DataHandle* h, int dev) {
   r.chained_dsts.clear();
   for (int d : chains) {
     mem::Replica& rd = h->dev[d];
-    if (rd.state == mem::ReplicaState::kInFlight && rd.fetch_waiting &&
-        rd.fetch_src == dev) {
-      issue_p2p(h, dev, d, /*chained=*/true);
+    if (rd.state == mem::ReplicaState::kInFlight &&
+        rd.fetch_waiting != trace::Chain::kNone && rd.fetch_src == dev) {
+      issue_p2p(h, dev, d, rd.fetch_waiting);
     } else {
       unpin(h, dev);  // stale entry: drop its registration pin
     }
@@ -532,7 +527,7 @@ void DataManager::mark_written(mem::DataHandle* h, int dev) {
   r.state = mem::ReplicaState::kValid;
   r.fetch_gen++;  // supersede any stale fetch bookkeeping on the writer
   r.fetch_src = mem::kFetchIdle;
-  r.fetch_waiting = false;
+  r.fetch_waiting = trace::Chain::kNone;
   r.fetch_attempts = 0;
   plat_->cache(dev).set_dirty(h, true);
   plat_->cache(dev).touch(h, plat_->engine().now());
@@ -586,7 +581,8 @@ void DataManager::host_write(mem::DataHandle* h) {
   h->host.chained_dsts.clear();
   for (int d : chains) {
     mem::Replica& rd = h->dev[d];
-    if (rd.state == mem::ReplicaState::kInFlight && rd.fetch_waiting &&
+    if (rd.state == mem::ReplicaState::kInFlight &&
+        rd.fetch_waiting != trace::Chain::kNone &&
         rd.fetch_src == mem::kFetchHost)
       issue_h2d(h, d);
   }
@@ -630,8 +626,8 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
   stats_.d2h++;
   const std::uint64_t v0 = h->version;
   if (check::Checker* c = plat_->checker()) c->on_host_flush_issue(h, src, v0);
-  auto iv = plat_->copy_d2h(src, h->bytes(), [this, h, src, drop_buffer, v0,
-                                              gen, fail] {
+  plat_->copy_d2h(src, h->bytes(), [this, h, src, drop_buffer, v0, gen,
+                                    fail] {
     // The source pin is released even when this flush was superseded by a
     // newer one -- unless the device died, which zeroed its pin counts.
     if (!plat_->device_failed(src)) h->dev[src].pins--;
@@ -685,14 +681,12 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
     h->host.chained_dsts.clear();
     for (int d : chains) {
       mem::Replica& rd = h->dev[d];
-      if (rd.state == mem::ReplicaState::kInFlight && rd.fetch_waiting &&
+      if (rd.state == mem::ReplicaState::kInFlight &&
+          rd.fetch_waiting != trace::Chain::kNone &&
           rd.fetch_src == mem::kFetchHost)
         issue_h2d(h, d);
     }
-  });
-  if (obs::Observability* o = plat_->obs())
-    o->on_transfer(obs::Xfer::kD2H, h->id, src, -1, iv, h->bytes(),
-                   /*chained=*/false);
+  }, h->id);
 }
 
 void DataManager::flush_failed(mem::DataHandle* h, int src, bool drop_buffer) {
@@ -755,11 +749,12 @@ void DataManager::on_device_failure(
     if (rp && rp->state == mem::ReplicaState::kInFlight) {
       mem::Replica& r = *rp;
       // The reception *into* g: detach it from whatever was feeding it.
-      if (r.fetch_waiting && r.fetch_src >= 0) {
+      if (r.fetch_waiting != trace::Chain::kNone && r.fetch_src >= 0) {
         auto& cd = h->dev[r.fetch_src].chained_dsts;
         cd.erase(std::remove(cd.begin(), cd.end(), g), cd.end());
         if (!plat_->device_failed(r.fetch_src)) unpin(h, r.fetch_src);
-      } else if (r.fetch_waiting && r.fetch_src == mem::kFetchHost) {
+      } else if (r.fetch_waiting != trace::Chain::kNone &&
+                 r.fetch_src == mem::kFetchHost) {
         auto& cd = h->host.chained_dsts;
         cd.erase(std::remove(cd.begin(), cd.end(), g), cd.end());
       } else if (r.fetch_src >= 0 || r.fetch_src == mem::kFetchHost) {
@@ -815,7 +810,7 @@ void DataManager::on_device_failure(
     r.chained_dsts.clear();  // dependents re-plan in pass 3
     r.fetch_gen++;  // cancel any airborne copy toward g
     r.fetch_src = mem::kFetchIdle;
-    r.fetch_waiting = false;
+    r.fetch_waiting = trace::Chain::kNone;
     r.fetch_attempts = 0;
     r.eta = 0.0;
     if (was_valid) {
@@ -891,7 +886,7 @@ void DataManager::on_device_failure(
       if (d == g || plat_->device_failed(d)) continue;
       if (rd.state != mem::ReplicaState::kInFlight || rd.fetch_src != g)
         continue;
-      if (!rd.fetch_waiting) {
+      if (rd.fetch_waiting == trace::Chain::kNone) {
         // The copy g->d was airborne; its completion is now a dead DMA.
         stats_.transfer_aborts++;
         if (check::Checker* c = plat_->checker())

@@ -185,10 +185,11 @@ class DataManager {
   bool reception_fed(const mem::DataHandle& h, int dev) const;
   void reserve_with_flushes(mem::DataHandle* h, int dev);
   void issue_h2d(mem::DataHandle* h, int dst);
-  /// `chained` marks the forwarding leg of a kWaitDevice wait (issued by a
-  /// reception-completion waiter) -- observability links it back to the
-  /// reception it chained off.
-  void issue_p2p(mem::DataHandle* h, int src, int dst, bool chained = false);
+  /// `chain` marks the forwarding leg of a kWaitDevice wait (issued by a
+  /// reception-completion waiter); the trace record carries it, so obs can
+  /// link the copy back to the reception it chained off.
+  void issue_p2p(mem::DataHandle* h, int src, int dst,
+                 trace::Chain chain = trace::Chain::kNone);
   void complete_arrival(mem::DataHandle* h, int dev);
   void flush_from_device(mem::DataHandle* h, int src, bool drop_buffer);
 

@@ -16,7 +16,6 @@ constexpr double kGB = 1e9;
 Platform::Platform(topo::Topology topo, PerfModel perf, PlatformOptions opt)
     : topo_(std::move(topo)), perf_(perf), opt_(opt) {
   const int n = topo_.num_gpus();
-  trace_.set_enabled(opt_.tracing);
 
   // Host links: bandwidth and route latency taken from the first GPU on
   // each link (GPUs sharing a switch share its uplink characteristics).
@@ -159,30 +158,48 @@ void Platform::apply_device_failure(int g) {
                         "GPU " + std::to_string(g) + " failed");
 }
 
+namespace {
+
+trace::Record op_record(trace::OpKind kind, int dev, sim::Interval iv,
+                        sim::Time issued) {
+  trace::Record rec;
+  rec.kind = kind;
+  rec.device = dev;
+  rec.start = iv.start;
+  rec.end = iv.end;
+  rec.queued = iv.start - issued;
+  return rec;
+}
+
+}  // namespace
+
 sim::Interval Platform::copy_h2d(int dev, std::size_t bytes,
-                                 sim::Callback done) {
+                                 sim::Callback done, std::uint64_t tile) {
   const sim::Time t0 = engine_.now();
   auto iv = h2d_[topo_.host_link_of(dev)]->transfer(bytes, std::move(done));
-  trace::Record rec{dev,   trace::OpKind::kHtoD, iv.start, iv.end,
-                    bytes, 0.0,                  0,        "HtoD"};
-  rec.queued = iv.start - t0;
+  trace::Record rec = op_record(trace::OpKind::kHtoD, dev, iv, t0);
+  rec.bytes = bytes;
+  rec.tile = tile;
+  rec.label = "HtoD";
   trace_.add(std::move(rec));
   return iv;
 }
 
 sim::Interval Platform::copy_d2h(int dev, std::size_t bytes,
-                                 sim::Callback done) {
+                                 sim::Callback done, std::uint64_t tile) {
   const sim::Time t0 = engine_.now();
   auto iv = d2h_[topo_.host_link_of(dev)]->transfer(bytes, std::move(done));
-  trace::Record rec{dev,   trace::OpKind::kDtoH, iv.start, iv.end,
-                    bytes, 0.0,                  0,        "DtoH"};
-  rec.queued = iv.start - t0;
+  trace::Record rec = op_record(trace::OpKind::kDtoH, dev, iv, t0);
+  rec.bytes = bytes;
+  rec.tile = tile;
+  rec.label = "DtoH";
   trace_.add(std::move(rec));
   return iv;
 }
 
 sim::Interval Platform::copy_p2p(int src, int dst, std::size_t bytes,
-                                 sim::Callback done) {
+                                 sim::Callback done, std::uint64_t tile,
+                                 trace::Chain chain) {
   assert(topo_.link_class(src, dst) != topo::LinkClass::kNone &&
          "no peer path between GPUs");
   const sim::Time t0 = engine_.now();
@@ -198,11 +215,12 @@ sim::Interval Platform::copy_p2p(int src, int dst, std::size_t bytes,
     d2h_[topo_.host_link_of(src)]->submit(iv.duration(), {});
     h2d_[topo_.host_link_of(dst)]->submit(iv.duration(), {});
   }
-  trace::Record rec{dst,   trace::OpKind::kPtoP, iv.start, iv.end,
-                    bytes, 0.0,                  0,
-                    "PtoP from " + std::to_string(src)};
+  trace::Record rec = op_record(trace::OpKind::kPtoP, dst, iv, t0);
+  rec.bytes = bytes;
+  rec.tile = tile;
+  rec.label = "PtoP from " + std::to_string(src);
   rec.peer = src;
-  rec.queued = iv.start - t0;
+  rec.chain = chain;
   trace_.add(std::move(rec));
   return iv;
 }
@@ -220,11 +238,11 @@ sim::Interval Platform::launch_kernel(int dev, double seconds, double flops,
     }
   const sim::Time t0 = engine_.now();
   auto iv = best->submit(seconds, std::move(done));
-  trace::Record rec{dev, trace::OpKind::kKernel, iv.start, iv.end,
-                    0,   flops,                  lane,     label};
-  rec.queued = iv.start - t0;
+  trace::Record rec = op_record(trace::OpKind::kKernel, dev, iv, t0);
+  rec.flops = flops;
+  rec.lane = lane;
+  rec.label = label;
   trace_.add(std::move(rec));
-  if (obs_) obs_->on_kernel(dev, label, iv);
   if (lane_out) *lane_out = lane;
   return iv;
 }

@@ -46,7 +46,6 @@ struct PlatformOptions {
   bool functional = false;
   int kernel_streams = 2;
   std::size_t device_capacity = 32ull << 30;  ///< bytes per GPU (V100 32GB)
-  bool tracing = true;
   mem::EvictionPolicy eviction = mem::EvictionPolicy::kReadOnlyFirst;
 };
 
@@ -97,13 +96,20 @@ class Platform {
   bool device_failed(int g) const { return topo_.device_failed(g); }
   int num_alive_gpus() const { return topo_.num_alive_gpus(); }
 
+  // Copies.  `tile` is the DataHandle id stamped on the trace record
+  // (trace::kNoTile for raw copies); `chain` marks a peer copy that
+  // forwards a waited-on reception.
   /// Host -> device copy over the GPU's (possibly shared) host link.
-  sim::Interval copy_h2d(int dev, std::size_t bytes, sim::Callback done);
+  sim::Interval copy_h2d(int dev, std::size_t bytes, sim::Callback done,
+                         std::uint64_t tile = trace::kNoTile);
   /// Device -> host copy.
-  sim::Interval copy_d2h(int dev, std::size_t bytes, sim::Callback done);
+  sim::Interval copy_d2h(int dev, std::size_t bytes, sim::Callback done,
+                         std::uint64_t tile = trace::kNoTile);
   /// Direct peer copy (src must have a peer path to dst).
   sim::Interval copy_p2p(int src, int dst, std::size_t bytes,
-                         sim::Callback done);
+                         sim::Callback done,
+                         std::uint64_t tile = trace::kNoTile,
+                         trace::Chain chain = trace::Chain::kNone);
 
   /// Launch a kernel on the least-loaded kernel stream of `dev`.  The
   /// chosen stream index is written to `lane_out` when non-null (the

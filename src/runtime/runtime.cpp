@@ -7,6 +7,7 @@
 #include <string>
 
 #include "fault/injector.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/ledger.hpp"
 #include "obs/obs.hpp"
 
@@ -627,8 +628,8 @@ void Runtime::on_stuck(std::uint64_t pending) {
     if (lm.lib.empty()) lm.lib = "(stalled)";
     const obs::RunLedger snap = obs::build_ledger(
         plat_->trace(), plat_->topology(), o, 0, std::move(lm));
-    o->set_flight_dump(o->flight().dump_json("watchdog-stall: " + os.str(),
-                                             obs::ledger_json(snap)));
+    o->set_flight_dump(obs::flight_dump_json(
+        *o, "watchdog-stall: " + os.str(), obs::ledger_json(snap)));
   }
   throw fault::StuckProgress(os.str());
 }

@@ -146,15 +146,9 @@ Trace from_csv(const std::string& csv) {
   return t;
 }
 
-std::string to_chrome_json(const Trace& t) {
-  std::ostringstream out;
-  out << "[\n";
-  bool first = true;
-  auto emit = [&](const std::string& ev) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "  " << ev;
-  };
+void write_chrome_events(const Trace& t, ChromeEvents& ev) {
+  std::ostream& out = ev.stream();
+  const std::streamsize prec = out.precision(6);
 
   // Metadata events: name the processes ("GPU n") and the per-class
   // sub-tracks so Perfetto shows labelled rows instead of bare ids.
@@ -162,28 +156,28 @@ std::string to_chrome_json(const Trace& t) {
   for (const Record& r : t.records()) pids.insert(r.device);
   static const char* kTidNames[] = {"kernel", "HtoD", "DtoH", "PtoP"};
   for (int pid : pids) {
-    std::ostringstream m;
-    m << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
-      << ", \"args\": {\"name\": \"GPU " << pid << "\"}}";
-    emit(m.str());
-    for (int tid = 0; tid < 4; ++tid) {
-      std::ostringstream n;
-      n << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << pid
-        << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
-        << kTidNames[tid] << "\"}}";
-      emit(n.str());
-    }
+    ev.next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << pid
+              << ", \"args\": {\"name\": \"GPU " << pid << "\"}}";
+    for (int tid = 0; tid < 4; ++tid)
+      ev.next() << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
+                << pid << ", \"tid\": " << tid << ", \"args\": {\"name\": \""
+                << kTidNames[tid] << "\"}}";
   }
 
-  for (const Record& r : t.records()) {
-    std::ostringstream e;
-    e << "{\"name\": \"" << json_escape(r.label) << "\", \"cat\": \""
-      << to_string(r.kind) << "\", \"ph\": \"X\", \"pid\": " << r.device
-      << ", \"tid\": " << chrome_tid(r.kind) << ", \"ts\": " << r.start * 1e6
-      << ", \"dur\": " << (r.end - r.start) * 1e6 << "}";
-    emit(e.str());
-  }
-  out << "\n]\n";
+  for (const Record& r : t.records())
+    ev.next() << "{\"name\": \"" << json_escape(r.label) << "\", \"cat\": \""
+              << to_string(r.kind) << "\", \"ph\": \"X\", \"pid\": " << r.device
+              << ", \"tid\": " << chrome_tid(r.kind)
+              << ", \"ts\": " << r.start * 1e6
+              << ", \"dur\": " << (r.end - r.start) * 1e6 << "}";
+  out.precision(prec);
+}
+
+std::string to_chrome_json(const Trace& t) {
+  std::ostringstream out;
+  ChromeEvents ev(out);
+  write_chrome_events(t, ev);
+  ev.close();
   return out.str();
 }
 

@@ -3,6 +3,7 @@
 // inspected with the same tooling one would point at real nvprof output.
 #pragma once
 
+#include <ostream>
 #include <string>
 
 #include "trace/trace.hpp"
@@ -17,10 +18,34 @@ std::string to_csv(const Trace& t);
 /// consumes saved traces).  Throws std::invalid_argument on malformed input.
 Trace from_csv(const std::string& csv);
 
-/// Chrome trace-event JSON ("X" complete events, one track per GPU, one
-/// sub-track per lane/op-class; "M" metadata events name the pid "GPU n" and
-/// the tids kernel/HtoD/DtoH/PtoP).  Timestamps in microseconds of virtual
-/// time.
+/// One JSON array of Chrome trace events written straight into a stream.
+/// The plain export below and the enriched xkb::obs export both write
+/// through it, so every event is formatted once, into one stream.
+class ChromeEvents {
+ public:
+  explicit ChromeEvents(std::ostream& out) : out_(out) { out_ << '['; }
+  /// Start the next array element; the caller streams the event object.
+  std::ostream& next() {
+    out_ << (first_ ? "\n  " : ",\n  ");
+    first_ = false;
+    return out_;
+  }
+  std::ostream& stream() { return out_; }
+  void close() { out_ << "\n]\n"; }
+
+ private:
+  std::ostream& out_;
+  bool first_ = true;
+};
+
+/// The per-GPU tracks of `t`: "M" metadata events naming each pid "GPU n"
+/// and its tids kernel/HtoD/DtoH/PtoP, then one "X" complete event per
+/// record.  Timestamps in microseconds of virtual time, 6 significant
+/// digits.
+void write_chrome_events(const Trace& t, ChromeEvents& ev);
+
+/// Chrome trace-event JSON array of write_chrome_events (loadable in
+/// chrome://tracing or Perfetto).
 std::string to_chrome_json(const Trace& t);
 
 /// JSON string escaping (quotes, backslashes and all control characters),

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,26 +14,41 @@
 
 namespace xkb::trace {
 
-enum class OpKind { kHtoD, kDtoH, kPtoP, kKernel };
+enum class OpKind : std::uint8_t { kHtoD, kDtoH, kPtoP, kKernel };
 
 const char* to_string(OpKind k);
 /// Inverse of to_string; returns false when `s` names no OpKind.
 bool parse_kind(const std::string& s, OpKind& out);
 
+/// Why a peer copy was issued: directly, or as the forwarding leg of a
+/// wait on an ongoing reception at the source (Section III-C) -- chosen by
+/// the optimistic heuristic or forced because that reception held the only
+/// copy.  A host wait (the tile is in flight to the host) counts as forced.
+enum class Chain : std::uint8_t { kNone, kOptimistic, kForced };
+
+/// Record::tile of an operation that moves no DataManager tile (kernels,
+/// raw platform copies).
+inline constexpr std::uint64_t kNoTile = ~std::uint64_t{0};
+
+/// One GPU operation.  Fields are ordered widest first so the record stays
+/// at 96 bytes (tests/test_trace.cpp pins it); the CSV round-trip carries
+/// every field except `tile` and `chain`.
 struct Record {
-  int device = 0;  ///< device executing/receiving the operation
-  OpKind kind = OpKind::kKernel;
   sim::Time start = 0.0;
   sim::Time end = 0.0;
-  std::size_t bytes = 0;  ///< transfers only
-  double flops = 0.0;     ///< kernels only
-  int lane = 0;           ///< stream index within the device
-  std::string label;      ///< kernel name / transfer peer
-  int peer = -1;          ///< PtoP only: source device (link identity)
   /// Queueing delay: seconds the op waited behind earlier work on its
   /// resource (interval start - submission time).  Feeds the per-link
   /// contention statistics of xkb::obs and tools/trace_report.
   sim::Time queued = 0.0;
+  double flops = 0.0;     ///< kernels only
+  std::size_t bytes = 0;  ///< transfers only
+  std::uint64_t tile = kNoTile;  ///< DataHandle id a transfer moves
+  std::string label;      ///< kernel name / transfer peer
+  int device = 0;  ///< device executing/receiving the operation
+  int lane = 0;    ///< stream index within the device
+  int peer = -1;   ///< PtoP only: source device (link identity)
+  OpKind kind = OpKind::kKernel;
+  Chain chain = Chain::kNone;  ///< PtoP only
 };
 
 /// Per-class time totals ("cumulative execution time" of Fig. 6).
@@ -48,8 +64,6 @@ class Trace {
  public:
   void add(Record r);
   void clear();
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool e) { enabled_ = e; }
 
   const std::vector<Record>& records() const { return records_; }
 
@@ -73,7 +87,6 @@ class Trace {
   int max_device() const { return max_device_; }
 
  private:
-  bool enabled_ = true;
   std::vector<Record> records_;
   int max_device_ = -1;
 };

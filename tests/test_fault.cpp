@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -361,7 +362,21 @@ TEST(FaultEffects, WatchdogStallProducesAValidFlightDump) {
   const util::JsonValue doc = util::json_parse(r.flight_json);
   EXPECT_EQ("xkb.obs.flight/1",
             doc.at("provenance").at("schema").as_string());
-  EXPECT_FALSE(doc.at("timeline").as_array().empty());
+  // The timeline is derived from the trace, the decisions and the fault
+  // marks: at most 256 entries, merged by virtual time.
+  const auto& timeline = doc.at("timeline").as_array();
+  EXPECT_FALSE(timeline.empty());
+  EXPECT_LE(timeline.size(), 256u);
+  std::set<std::string> kinds;
+  double prev_t = 0.0;
+  for (const util::JsonValue& e : timeline) {
+    const double t = e.at("t").as_number();
+    EXPECT_LE(prev_t, t);
+    prev_t = t;
+    kinds.insert(e.at("kind").as_string());
+  }
+  for (const char* k : {"kernel", "transfer", "decision"})
+    EXPECT_TRUE(kinds.count(k)) << k;
   EXPECT_NE(doc.at("reason").as_string().find("watchdog-stall"),
             std::string::npos);
   // The embedded snapshot round-trips through the ledger parser.
@@ -396,7 +411,7 @@ struct FaultFixture {
   Runtime runtime;
 };
 
-double bufA[64], bufB[64], bufC[64];
+double bufA[64], bufC[64];
 
 TaskDesc work(mem::DataHandle* h, Access mode, int dev, const char* label) {
   TaskDesc d;

@@ -326,12 +326,13 @@ TEST(ObservedRun, LinkProbesMatchTraceOccupancy) {
 TEST(ObservedRun, FlowsMatchWaitCountsAndTotalsMatchTrace) {
   ObservedRun r(Blas3::kGemm, 4096, 512);
   // Every optimistic or forced wait chains exactly one forwarded D2D copy.
-  EXPECT_EQ(r.stats.optimistic_waits + r.stats.forced_waits,
-            r.o.flows().size());
-  EXPECT_GT(r.o.flows().size(), 0u);  // the heuristic must actually fire
-  for (const Flow& f : r.o.flows()) {
-    EXPECT_GE(f.dst_iv.start, f.src_iv.end - 1e-12);  // chained after rx
-    EXPECT_NE(f.src_dev, f.dst_dev);
+  const std::vector<Flow> flows = derive_flows(r.plat.trace());
+  EXPECT_EQ(r.stats.optimistic_waits + r.stats.forced_waits, flows.size());
+  EXPECT_GT(flows.size(), 0u);  // the heuristic must actually fire
+  for (const Flow& f : flows) {
+    EXPECT_GE(f.fwd->start, f.rx->end - 1e-12);  // chained after rx
+    EXPECT_EQ(f.rx->device, f.fwd->peer);        // forwarded from the rx
+    EXPECT_NE(f.fwd->peer, f.fwd->device);
   }
   // The registry's derived counters equal the runtime's own counters and
   // the trace's sums exactly: they are views of the one record.
@@ -369,17 +370,21 @@ TEST(ObservedRun, FlowsMatchWaitCountsAndTotalsMatchTrace) {
 TEST(Flows, ReceptionKeysDoNotAliasAcrossWideDeviceIds) {
   // Device 256 and device 0 must keep separate receptions: a chained D2D
   // off gpu0 connects to gpu0's reception, not to gpu256's later one.
-  Observability o(300);
-  o.on_transfer(Xfer::kH2D, 1, -1, 0, sim::Interval{0.0, 1.0}, 64, false);
-  o.on_transfer(Xfer::kH2D, 1, -1, 256, sim::Interval{5.0, 6.0}, 64, false);
-  o.on_wait(1, 0, 7, /*forced=*/false);
-  o.on_transfer(Xfer::kD2D, 1, 0, 7, sim::Interval{1.0, 2.0}, 64, true);
-  ASSERT_EQ(1u, o.flows().size());
-  const Flow& f = o.flows().front();
-  EXPECT_EQ(0, f.src_dev);
-  EXPECT_EQ(7, f.dst_dev);
-  EXPECT_EQ(0.0, f.src_iv.start);
-  EXPECT_EQ(1.0, f.src_iv.end);
+  trace::Trace tr;
+  trace::Record rx0 = rec(trace::OpKind::kHtoD, 0, 0.0, 1.0);
+  rx0.tile = 1;
+  tr.add(rx0);
+  trace::Record rx256 = rec(trace::OpKind::kHtoD, 256, 5.0, 6.0);
+  rx256.tile = 1;
+  tr.add(rx256);
+  trace::Record fwd = rec(trace::OpKind::kPtoP, 7, 1.0, 2.0, /*peer=*/0);
+  fwd.tile = 1;
+  fwd.chain = trace::Chain::kOptimistic;
+  tr.add(fwd);
+  const std::vector<Flow> flows = derive_flows(tr);
+  ASSERT_EQ(1u, flows.size());
+  EXPECT_EQ(&tr.records()[0], flows.front().rx);  // gpu0's reception
+  EXPECT_EQ(&tr.records()[2], flows.front().fwd);
 }
 
 TEST(ObservedRun, DecisionsCoverEveryMissAndRegistryNamesExist) {
@@ -426,6 +431,19 @@ TEST(Export, EnrichedChromeJsonCarriesDecisionFlowAndCounterTracks) {
   EXPECT_NE(std::string::npos, j.find("\"traceEvents\": ["));
   EXPECT_EQ('\n', j.back());
   EXPECT_EQ('}', j[j.size() - 2]);
+}
+
+TEST(Export, EnrichedChromeJsonOfAnEmptyTraceIsValidJson) {
+  // Obs events with no trace record before them (a trace cleared after a
+  // distribution phase): the event array must not open with a comma.
+  Observability o(2);
+  Decision d;
+  d.dst = 1;
+  o.on_decision(d);
+  o.on_fault_mark(0.5, "brownout", "link 0-1");
+  const util::JsonValue doc =
+      util::json_parse(to_chrome_json(trace::Trace{}, o));
+  EXPECT_EQ(4u, doc.at("traceEvents").as_array().size());
 }
 
 TEST(Export, JsonEscapeHandlesControlCharacters) {

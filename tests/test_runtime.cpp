@@ -411,6 +411,12 @@ TEST(Heuristics, ForcedWaitCountedSeparatelyFromOptimistic) {
   EXPECT_TRUE(first);
   EXPECT_TRUE(done);
   EXPECT_EQ(f.runtime.data_manager().stats().d2d, 1u);
+  // The forwarding copy's trace record names its tile and the wait kind.
+  const auto& recs = f.plat.trace().records();
+  ASSERT_EQ(2u, recs.size());
+  EXPECT_EQ(trace::OpKind::kPtoP, recs[1].kind);
+  EXPECT_EQ(trace::Chain::kForced, recs[1].chain);
+  EXPECT_EQ(h->id, recs[1].tile);
 }
 
 TEST(Heuristics, OptimisticWaitStillCountedWhenEnabled) {
@@ -422,6 +428,10 @@ TEST(Heuristics, OptimisticWaitStillCountedWhenEnabled) {
   EXPECT_GE(f.runtime.data_manager().stats().optimistic_waits, 1u);
   EXPECT_EQ(f.runtime.data_manager().stats().forced_waits, 0u)
       << "host copy stays valid here, so no wait is ever forced";
+  std::size_t chained = 0;
+  for (const trace::Record& r : f.plat.trace().records())
+    chained += r.chain == trace::Chain::kOptimistic;
+  EXPECT_EQ(f.runtime.data_manager().stats().optimistic_waits, chained);
 }
 
 TEST(Dmdas, InFlightReplicaChargedAsWaitNotFreshTransfer) {

@@ -146,7 +146,7 @@ Outcome run_one(const std::string& lib, Blas3 routine, bool dod,
 /// A dropped task completion (checker test fault) starves the successors
 /// while a non-empty fault plan keeps the watchdog armed; the watchdog
 /// notices the dead run, Runtime::on_stuck snapshots the ledger, dumps the
-/// flight ring, and throws StuckProgress.  The dump must carry a non-empty
+/// flight timeline, and throws StuckProgress.  The dump must carry a non-empty
 /// last-N timeline, a parseable ledger snapshot, and the stall reason.
 int run_flight_probe(std::size_t n, std::size_t tile,
                      const std::string& out_path) {

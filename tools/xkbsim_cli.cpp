@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
       out << obs::to_chrome_json(r.trace, *r.obs);
       std::printf("%s: %zu trace events, %zu decisions, %zu chains -> %s\n",
                   r.obs->ledger_meta().lib.c_str(), r.trace.records().size(),
-                  r.obs->decisions().size(), r.obs->flows().size(),
+                  r.obs->decisions().size(), obs::derive_flows(r.trace).size(),
                   trace_json.c_str());
     }
     if (!metrics_out.empty()) {
