@@ -27,7 +27,7 @@ class SymbolicMatrix {
                                    static_cast<std::uint64_t>(slot) *
                                        0x040000000000ull)) {}
 
-  MatrixView<T> view() { return {base_, m_, n_, m_}; }
+  MatrixView<T> view() const { return {base_, m_, n_, m_}; }
   MatrixView<const T> cview() const { return {base_, m_, n_, m_}; }
 
  private:

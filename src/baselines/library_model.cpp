@@ -1,8 +1,10 @@
 #include "baselines/library_model.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "baselines/common.hpp"
@@ -43,150 +45,100 @@ void distribute_matrix(rt::Runtime& runtime, MatrixView<const T> m,
     }
 }
 
+/// Derive the data movement of `plan` from its routine's operands, in
+/// distribution order (A, B, C); the last one is the output the host gets
+/// back.  Complex operands also scale the flop count to real arithmetic.
+template <typename T>
+void bind_operands(RoutinePlan& plan, rt::Runtime& rt, std::size_t ts, int P,
+                   int Q, std::initializer_list<MatrixView<const T>> list) {
+  std::vector<MatrixView<const T>> ops(list);
+  const MatrixView<const T> out = ops.back();
+  const double bytes = static_cast<double>(out.m) * out.n * sizeof(T);
+  plan.input_bytes = static_cast<double>(ops.size()) * bytes;
+  plan.output_bytes = bytes;
+  if constexpr (!std::is_same_v<T, double>) plan.flops *= 4.0;
+  plan.distribute = [&rt, ops = std::move(ops), ts, P, Q] {
+    for (const MatrixView<const T>& m : ops) distribute_matrix(rt, m, ts, P, Q);
+  };
+  plan.coherent = [&rt, out, ts] { coherent_matrix(rt, out, ts); };
+}
+
 }  // namespace
 
 RoutinePlan plan_routine(rt::Runtime& runtime, Blas3 routine, std::size_t n,
                          const blas::EmitOptions& emit, int P, int Q) {
   using Z = std::complex<double>;
+  // One address slot per operand role, whatever the routine: real A, B, C
+  // in slots 0-2, complex ones in 3-5.
+  const SymbolicMatrix<double> A(n, n, 0), B(n, n, 1), C(n, n, 2);
+  const SymbolicMatrix<Z> ZA(n, n, 3), ZB(n, n, 4), ZC(n, n, 5);
+  auto& rt = runtime;
+  const std::size_t ts = emit.tile;
   RoutinePlan plan;
   plan.flops = routine_flops(routine, static_cast<double>(n));
-  const std::size_t ts = emit.tile;
-  const double mat_bytes_d = static_cast<double>(n) * n * sizeof(double);
-  const double mat_bytes_z = static_cast<double>(n) * n * sizeof(Z);
-
-  auto A = std::make_shared<SymbolicMatrix<double>>(n, n, 0);
-  auto B = std::make_shared<SymbolicMatrix<double>>(n, n, 1);
-  auto C = std::make_shared<SymbolicMatrix<double>>(n, n, 2);
-  auto ZA = std::make_shared<SymbolicMatrix<Z>>(n, n, 3);
-  auto ZB = std::make_shared<SymbolicMatrix<Z>>(n, n, 4);
-  auto ZC = std::make_shared<SymbolicMatrix<Z>>(n, n, 5);
-  auto& rt = runtime;
-
   switch (routine) {
     case Blas3::kGemm:
       plan.emit = [&rt, A, B, C, emit] {
-        blas::tiled_gemm(rt, Op::NoTrans, Op::NoTrans, 1.0, A->cview(),
-                         B->cview(), 1.0, C->view(), emit);
+        blas::tiled_gemm(rt, Op::NoTrans, Op::NoTrans, 1.0, A.cview(),
+                         B.cview(), 1.0, C.view(), emit);
       };
-      plan.distribute = [&rt, A, B, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 3 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
+      bind_operands(plan, rt, ts, P, Q, {A.cview(), B.cview(), C.cview()});
       break;
     case Blas3::kSymm:
       plan.emit = [&rt, A, B, C, emit] {
-        blas::tiled_symm(rt, Side::Left, Uplo::Lower, 1.0, A->cview(),
-                         B->cview(), 1.0, C->view(), emit);
+        blas::tiled_symm(rt, Side::Left, Uplo::Lower, 1.0, A.cview(),
+                         B.cview(), 1.0, C.view(), emit);
       };
-      plan.distribute = [&rt, A, B, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 3 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
+      bind_operands(plan, rt, ts, P, Q, {A.cview(), B.cview(), C.cview()});
       break;
     case Blas3::kSyrk:
       plan.emit = [&rt, A, C, emit] {
-        blas::tiled_syrk(rt, Uplo::Lower, Op::NoTrans, 1.0, A->cview(), 1.0,
-                         C->view(), emit);
+        blas::tiled_syrk(rt, Uplo::Lower, Op::NoTrans, 1.0, A.cview(), 1.0,
+                         C.view(), emit);
       };
-      plan.distribute = [&rt, A, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 2 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
+      bind_operands(plan, rt, ts, P, Q, {A.cview(), C.cview()});
       break;
     case Blas3::kSyr2k:
       plan.emit = [&rt, A, B, C, emit] {
-        blas::tiled_syr2k(rt, Uplo::Lower, Op::NoTrans, 1.0, A->cview(),
-                          B->cview(), 1.0, C->view(), emit);
+        blas::tiled_syr2k(rt, Uplo::Lower, Op::NoTrans, 1.0, A.cview(),
+                          B.cview(), 1.0, C.view(), emit);
       };
-      plan.distribute = [&rt, A, B, C, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-        distribute_matrix(rt, C->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, C, ts] { coherent_matrix(rt, C->cview(), ts); };
-      plan.input_bytes = 3 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
+      bind_operands(plan, rt, ts, P, Q, {A.cview(), B.cview(), C.cview()});
       break;
     case Blas3::kTrmm:
       plan.emit = [&rt, A, B, emit] {
         blas::tiled_trmm(rt, Side::Left, Uplo::Lower, Op::NoTrans,
-                         Diag::NonUnit, 1.0, A->cview(), B->view(), emit);
+                         Diag::NonUnit, 1.0, A.cview(), B.view(), emit);
       };
-      plan.distribute = [&rt, A, B, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, B, ts] { coherent_matrix(rt, B->cview(), ts); };
-      plan.input_bytes = 2 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
+      bind_operands(plan, rt, ts, P, Q, {A.cview(), B.cview()});
       break;
     case Blas3::kTrsm:
       plan.emit = [&rt, A, B, emit] {
         blas::tiled_trsm(rt, Side::Left, Uplo::Lower, Op::NoTrans,
-                         Diag::NonUnit, 1.0, A->cview(), B->view(), emit);
+                         Diag::NonUnit, 1.0, A.cview(), B.view(), emit);
       };
-      plan.distribute = [&rt, A, B, ts, P, Q] {
-        distribute_matrix(rt, A->cview(), ts, P, Q);
-        distribute_matrix(rt, B->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, B, ts] { coherent_matrix(rt, B->cview(), ts); };
-      plan.input_bytes = 2 * mat_bytes_d;
-      plan.output_bytes = mat_bytes_d;
+      bind_operands(plan, rt, ts, P, Q, {A.cview(), B.cview()});
       break;
     case Blas3::kHemm:
       plan.emit = [&rt, ZA, ZB, ZC, emit] {
-        blas::tiled_hemm(rt, Side::Left, Uplo::Lower, Z{1.0}, ZA->cview(),
-                         ZB->cview(), Z{1.0}, ZC->view(), emit);
+        blas::tiled_hemm(rt, Side::Left, Uplo::Lower, Z{1.0}, ZA.cview(),
+                         ZB.cview(), Z{1.0}, ZC.view(), emit);
       };
-      plan.distribute = [&rt, ZA, ZB, ZC, ts, P, Q] {
-        distribute_matrix(rt, ZA->cview(), ts, P, Q);
-        distribute_matrix(rt, ZB->cview(), ts, P, Q);
-        distribute_matrix(rt, ZC->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, ZC, ts] { coherent_matrix(rt, ZC->cview(), ts); };
-      plan.flops *= 4.0;  // complex arithmetic
-      plan.input_bytes = 3 * mat_bytes_z;
-      plan.output_bytes = mat_bytes_z;
+      bind_operands(plan, rt, ts, P, Q, {ZA.cview(), ZB.cview(), ZC.cview()});
       break;
     case Blas3::kHerk:
       plan.emit = [&rt, ZA, ZC, emit] {
-        blas::tiled_herk(rt, Uplo::Lower, Op::NoTrans, 1.0, ZA->cview(), 1.0,
-                         ZC->view(), emit);
+        blas::tiled_herk(rt, Uplo::Lower, Op::NoTrans, 1.0, ZA.cview(), 1.0,
+                         ZC.view(), emit);
       };
-      plan.distribute = [&rt, ZA, ZC, ts, P, Q] {
-        distribute_matrix(rt, ZA->cview(), ts, P, Q);
-        distribute_matrix(rt, ZC->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, ZC, ts] { coherent_matrix(rt, ZC->cview(), ts); };
-      plan.flops *= 4.0;
-      plan.input_bytes = 2 * mat_bytes_z;
-      plan.output_bytes = mat_bytes_z;
+      bind_operands(plan, rt, ts, P, Q, {ZA.cview(), ZC.cview()});
       break;
     case Blas3::kHer2k:
       plan.emit = [&rt, ZA, ZB, ZC, emit] {
-        blas::tiled_her2k(rt, Uplo::Lower, Op::NoTrans, Z{1.0}, ZA->cview(),
-                          ZB->cview(), 1.0, ZC->view(), emit);
+        blas::tiled_her2k(rt, Uplo::Lower, Op::NoTrans, Z{1.0}, ZA.cview(),
+                          ZB.cview(), 1.0, ZC.view(), emit);
       };
-      plan.distribute = [&rt, ZA, ZB, ZC, ts, P, Q] {
-        distribute_matrix(rt, ZA->cview(), ts, P, Q);
-        distribute_matrix(rt, ZB->cview(), ts, P, Q);
-        distribute_matrix(rt, ZC->cview(), ts, P, Q);
-      };
-      plan.coherent = [&rt, ZC, ts] { coherent_matrix(rt, ZC->cview(), ts); };
-      plan.flops *= 4.0;
-      plan.input_bytes = 3 * mat_bytes_z;
-      plan.output_bytes = mat_bytes_z;
+      bind_operands(plan, rt, ts, P, Q, {ZA.cview(), ZB.cview(), ZC.cview()});
       break;
   }
   return plan;

@@ -70,12 +70,8 @@ ModelSpec spec_for_library(const std::string& name, rt::HeuristicConfig heur) {
     throw std::invalid_argument("unknown library '" + name +
                                 "' (accepted: " + all + ")");
   }
-  auto* sm = dynamic_cast<SpecModel*>(model.get());
-  if (!sm)
-    throw std::invalid_argument("library '" + name +
-                                "' is not spec-backed; workloads need a "
-                                "ModelSpec-described model");
-  return sm->spec();
+  // Every make_* builds a SpecModel.
+  return dynamic_cast<const SpecModel&>(*model).spec();
 }
 
 }  // namespace xkb::baselines

@@ -62,7 +62,7 @@ const char* to_string(ViolationKind k) {
 }
 
 Checker::Checker(const CheckConfig& cfg, int num_gpus, int kernel_streams,
-                 Policy policy, bool optimistic_d2d)
+                 trace::SourcePolicy policy, bool optimistic_d2d)
     : cfg_(cfg),
       gpus_(num_gpus),
       streams_(static_cast<std::size_t>(kernel_streams)),
@@ -115,7 +115,8 @@ void Checker::violation(ViolationKind kind, std::string msg) {
 
 void Checker::on_submit(
     std::uint64_t id, std::string label,
-    const std::vector<std::pair<const mem::DataHandle*, Mode>>& accesses,
+    const std::vector<std::pair<const mem::DataHandle*, trace::Access>>&
+        accesses,
     std::vector<std::uint64_t> preds) {
   if (id >= tasks_.size()) tasks_.resize(id + 1);
   TaskInfo& ti = tasks_[id];
@@ -171,7 +172,7 @@ void Checker::stamp(TaskInfo& t, std::size_t lane) {
 void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
   if (!cfg_.races) return;
   for (const AccessRec& a : t.accesses) {
-    if (a.mode == Mode::kW) continue;
+    if (a.mode == trace::Access::kW) continue;
     Shadow& s = shadow(a.handle);
     if (s.write.task != 0 && s.write.task != id && !s.write.before(t.vc)) {
       const TaskInfo& w = *task(s.write.task);
@@ -189,7 +190,7 @@ void Checker::check_reads(std::uint64_t id, TaskInfo& t) {
 void Checker::record_writes(std::uint64_t id, TaskInfo& t, int dev) {
   const Epoch epoch{id, t.vc.at(t.lane), t.lane};
   for (const AccessRec& a : t.accesses) {
-    if (a.mode == Mode::kR) continue;
+    if (a.mode == trace::Access::kR) continue;
     Shadow& s = shadow(a.handle);
     if (cfg_.races) {
       if (s.write.task != 0 && s.write.task != id && !s.write.before(t.vc))
@@ -225,7 +226,7 @@ void Checker::on_kernel_issue(std::uint64_t id, int dev, int lane,
   // verify freshness: a kernel must start with every read operand valid on
   // its device and holding the latest version.
   for (const AccessRec& a : t->accesses) {
-    if (a.mode == Mode::kW) continue;
+    if (a.mode == trace::Access::kW) continue;
     Shadow& s = shadow(a.handle);
     if (const DevShadow* d = s.find(dev)) t->vc.join(d->arrival_vc);
     if (cfg_.coherence) {
@@ -256,7 +257,7 @@ void Checker::on_task_finish(std::uint64_t id, int dev, sim::Time now) {
     // no stream lane, so order it on the device's virtual lane.  Its reads
     // still carry the arrival edges and are checked like kernel reads.
     for (const AccessRec& a : t->accesses) {
-      if (a.mode == Mode::kW) continue;
+      if (a.mode == trace::Access::kW) continue;
       Shadow& s = shadow(a.handle);
       if (const DevShadow* d = s.find(dev)) t->vc.join(d->arrival_vc);
       if (cfg_.coherence && s.dev_version(dev) != s.version)
@@ -280,7 +281,7 @@ void Checker::on_task_complete(std::uint64_t id, sim::Time now) {
     // Host-side task (memory_coherent / host_write): executes on the host
     // lane; reads carry the host copy's happens-before edges.
     for (const AccessRec& a : t->accesses) {
-      if (a.mode == Mode::kW) continue;
+      if (a.mode == trace::Access::kW) continue;
       Shadow& s = shadow(a.handle);
       t->vc.join(s.host_vc);
       if (cfg_.coherence && s.host_version != s.version)
@@ -302,19 +303,19 @@ void Checker::on_task_complete(std::uint64_t id, sim::Time now) {
 // ---------------------------------------------------------------------------
 
 void Checker::on_source_choice(const mem::DataHandle* h, int dst,
-                               SourceKind kind, int src, bool forced) {
-  fold(kTagSource, h->id, dst, kind, src + 1);
+                               trace::Pick pick, int src, bool forced) {
+  fold(kTagSource, h->id, dst, pick, src + 1);
   if (!cfg_.coherence) return;
   const bool host_valid = h->host.state == mem::ReplicaState::kValid;
   Shadow& s = shadow(h);
-  switch (kind) {
-    case SourceKind::kHost:
+  switch (pick) {
+    case trace::Pick::kHost:
       if (!host_valid)
         violation(ViolationKind::kCoherence,
                   str("choose_source picked the host for tile ", h->id,
                       " -> GPU ", dst, " but the host copy is not valid"));
       break;
-    case SourceKind::kDevice: {
+    case trace::Pick::kDevice: {
       const mem::Replica& r = h->dev[static_cast<std::size_t>(src)];
       if (device_failed(src))
         violation(ViolationKind::kCoherence,
@@ -329,13 +330,13 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
                   str("choose_source picked stale replica on GPU ", src,
                       " for tile ", h->id, " (version ", s.dev_version(src),
                       ", latest ", s.version, ")"));
-      if (policy_ == Policy::kHostOnly && host_valid)
+      if (policy_ == trace::SourcePolicy::kHostOnly && host_valid)
         violation(ViolationKind::kCoherence,
                   str("host-only source policy chose a device source for tile ",
                       h->id, " although the host copy is valid"));
       break;
     }
-    case SourceKind::kWaitDevice: {
+    case trace::Pick::kWaitDevice: {
       const mem::Replica& r = h->dev[static_cast<std::size_t>(src)];
       if (device_failed(src))
         violation(ViolationKind::kCoherence,
@@ -366,7 +367,7 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
       }
       break;
     }
-    case SourceKind::kWaitHost:
+    case trace::Pick::kWaitHost:
       if (h->host.state != mem::ReplicaState::kInFlight)
         violation(ViolationKind::kCoherence,
                   str("waiting on a host reception for tile ", h->id,
@@ -375,19 +376,20 @@ void Checker::on_source_choice(const mem::DataHandle* h, int dst,
   }
 }
 
-void Checker::on_transfer_issue(TransferKind k, const mem::DataHandle* h,
-                                int src, int dst, sim::Time start,
-                                sim::Time end) {
+void Checker::on_transfer_issue(trace::TransferKind k,
+                                const mem::DataHandle* h, int src, int dst,
+                                sim::Time start, sim::Time end) {
   fold(kTagTransfer, k, h->id, src + 1, dst, start, end);
   Shadow& s = shadow(h);
   if (cfg_.coherence && device_failed(dst))
     violation(ViolationKind::kCoherence,
               str("transfer of tile ", h->id,
                   " issued towards blacklisted GPU ", dst));
-  if (cfg_.coherence && k == TransferKind::kD2D && device_failed(src))
+  if (cfg_.coherence && k == trace::TransferKind::kD2D &&
+      device_failed(src))
     violation(ViolationKind::kCoherence,
               str("D2D of tile ", h->id, " issued from blacklisted GPU ", src));
-  if (k == TransferKind::kH2D) {
+  if (k == trace::TransferKind::kH2D) {
     ++h2d_seen_;
     if (cfg_.coherence && h->host.state != mem::ReplicaState::kValid)
       violation(ViolationKind::kCoherence,
@@ -401,7 +403,7 @@ void Checker::on_transfer_issue(TransferKind k, const mem::DataHandle* h,
     DevShadow& d = s.touch(dst);
     d.in_version = s.host_version;
     d.in_vc = s.host_vc;
-  } else if (k == TransferKind::kD2D) {
+  } else if (k == trace::TransferKind::kD2D) {
     ++d2d_seen_;
     if (cfg_.coherence && h->dev[src].state != mem::ReplicaState::kValid)
       violation(ViolationKind::kCoherence,
@@ -558,12 +560,12 @@ bool Checker::current_version_survives(const mem::DataHandle* h,
 // Fault-recovery events
 // ---------------------------------------------------------------------------
 
-void Checker::on_transfer_abort(TransferKind k, const mem::DataHandle* h,
-                                int src, int dst, std::size_t attempts,
-                                std::size_t cap) {
+void Checker::on_transfer_abort(trace::TransferKind k,
+                                const mem::DataHandle* h, int src, int dst,
+                                std::size_t attempts, std::size_t cap) {
   fold(kTagAbort, k, h->id, src + 1, dst + 1, attempts);
   Shadow& s = shadow(h);
-  if (k == TransferKind::kD2H) {
+  if (k == trace::TransferKind::kD2H) {
     ++d2h_aborts_seen_;
     // The flush will never publish; stop counting it as survival evidence.
     s.d2h_inflight = false;

@@ -23,10 +23,10 @@
 //     event stream is exposed so two runs of the same configuration can be
 //     asserted bit-identical.
 //
-// The checker depends only on `mem` and `sim`; the runtime layers feed it
-// events through the hooks below (mirrored enums avoid an include cycle
-// with `runtime/`).  It is always compiled and costs one null-pointer test
-// per hook when disabled.
+// The checker depends only on `mem` and `sim` (and, through `mem`, on the
+// data-path vocabulary of trace/trace.hpp); the runtime layers feed it
+// events through the hooks below.  It is always compiled and costs one
+// null-pointer test per hook when disabled.
 #pragma once
 
 #include <bit>
@@ -42,24 +42,9 @@
 #include "check/vector_clock.hpp"
 #include "mem/handle.hpp"
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace xkb::check {
-
-/// Access mode of a task operand (mirror of rt::Access).
-enum class Mode : std::uint8_t { kR, kW, kRW };
-
-/// Source-selection policy in force (mirror of rt::SourcePolicy).
-enum class Policy : std::uint8_t {
-  kTopologyAware,
-  kFirstValid,
-  kSwitchPeer,
-  kHostOnly,
-};
-
-/// What choose_source decided (mirror of DataManager::Source::Kind).
-enum class SourceKind : std::uint8_t { kHost, kDevice, kWaitDevice, kWaitHost };
-
-enum class TransferKind : std::uint8_t { kH2D, kD2D, kD2H };
 
 /// Test-only fault injection, honoured by the runtime only when a checker
 /// is attached.  Used by the checker's own mutant tests: a checker that
@@ -112,7 +97,7 @@ struct StatsView {
 class Checker {
  public:
   Checker(const CheckConfig& cfg, int num_gpus, int kernel_streams,
-          Policy policy, bool optimistic_d2d);
+          trace::SourcePolicy policy, bool optimistic_d2d);
 
   const CheckConfig& config() const { return cfg_; }
   const Faults& faults() const { return cfg_.faults; }
@@ -120,7 +105,8 @@ class Checker {
   // --- task-graph / execution events (fed by rt::Runtime) ---
   void on_submit(
       std::uint64_t task, std::string label,
-      const std::vector<std::pair<const mem::DataHandle*, Mode>>& accesses,
+      const std::vector<std::pair<const mem::DataHandle*, trace::Access>>&
+          accesses,
       std::vector<std::uint64_t> preds);
   /// Kernel handed to stream `lane` of `dev` (lane FIFO order == issue
   /// order).  Performs the read-side race + staleness checks.
@@ -133,10 +119,10 @@ class Checker {
   void on_task_complete(std::uint64_t task, sim::Time t);
 
   // --- replica-protocol events (fed by rt::DataManager) ---
-  void on_source_choice(const mem::DataHandle* h, int dst, SourceKind kind,
+  void on_source_choice(const mem::DataHandle* h, int dst, trace::Pick pick,
                         int src, bool forced);
-  void on_transfer_issue(TransferKind k, const mem::DataHandle* h, int src,
-                         int dst, sim::Time start, sim::Time end);
+  void on_transfer_issue(trace::TransferKind k, const mem::DataHandle* h,
+                         int src, int dst, sim::Time start, sim::Time end);
   /// A replica reception completed on `dev` (kInFlight -> kValid).
   void on_arrival(const mem::DataHandle* h, int dev, sim::Time t);
   void on_mark_written(const mem::DataHandle* h, int dev, sim::Time t);
@@ -153,8 +139,9 @@ class Checker {
   /// cancelled because an endpoint died).  `dst` is -1 for D2H flushes.
   /// `attempts`/`cap` drive the bounded-retries invariant (0/0 for aborts
   /// that are not retries of the same reception, e.g. device-loss purges).
-  void on_transfer_abort(TransferKind k, const mem::DataHandle* h, int src,
-                         int dst, std::size_t attempts, std::size_t cap);
+  void on_transfer_abort(trace::TransferKind k, const mem::DataHandle* h,
+                         int src, int dst, std::size_t attempts,
+                         std::size_t cap);
   /// GPU `dev` was blacklisted.  From here on, no source choice, D2D issue
   /// or kernel may touch it.
   void on_device_failure(int dev);
@@ -191,7 +178,7 @@ class Checker {
  private:
   struct AccessRec {
     const mem::DataHandle* handle = nullptr;
-    Mode mode = Mode::kR;
+    trace::Access mode = trace::Access::kR;
   };
   struct TaskInfo {
     bool submitted = false;  ///< slot holds a task (ids index tasks_)
@@ -302,7 +289,7 @@ class Checker {
   CheckConfig cfg_;
   int gpus_;
   std::size_t streams_;
-  Policy policy_;
+  trace::SourcePolicy policy_;
   bool optimistic_;
 
   // Both indexed by id: task and tile ids count up from 1.

@@ -21,16 +21,6 @@ const char* to_string(FaultKind k) {
   return "?";
 }
 
-const char* to_string(TransferKind k) {
-  switch (k) {
-    case TransferKind::kH2D: return "h2d";
-    case TransferKind::kD2D: return "d2d";
-    case TransferKind::kD2H: return "d2h";
-    case TransferKind::kAny: return "any";
-  }
-  return "?";
-}
-
 namespace {
 
 /// An endpoint renders as its symbolic name when one was given (so a parsed
@@ -214,11 +204,8 @@ FaultPlan FaultPlan::parse(const std::string& text) {
       e.t = want_num(is, lineno, line, "time");
       std::string kind;
       if (!(is >> kind)) bad_line(lineno, line, "missing transfer kind");
-      if (kind == "h2d") e.xfer = TransferKind::kH2D;
-      else if (kind == "d2d") e.xfer = TransferKind::kD2D;
-      else if (kind == "d2h") e.xfer = TransferKind::kD2H;
-      else if (kind == "any") e.xfer = TransferKind::kAny;
-      else bad_line(lineno, line, "unknown transfer kind '" + kind + "'");
+      if (!trace::parse(kind, e.xfer))
+        bad_line(lineno, line, "unknown transfer kind '" + kind + "'");
       want_endpoint(is, lineno, line, "src", e.a, e.a_name);
       want_endpoint(is, lineno, line, "dst", e.b, e.b_name);
       want_done(is, lineno, line);

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "trace/trace.hpp"
 
 namespace xkb::fault {
 
@@ -72,10 +73,7 @@ enum class FaultKind : std::uint8_t {
   kDeviceFail,    ///< whole-GPU loss
 };
 
-enum class TransferKind : std::uint8_t { kH2D, kD2D, kD2H, kAny };
-
 const char* to_string(FaultKind k);
-const char* to_string(TransferKind k);
 
 struct FaultEvent {
   FaultKind kind = FaultKind::kBrownout;
@@ -84,7 +82,8 @@ struct FaultEvent {
   int b = -1;              ///< link endpoint / xfail dst (-1 any)
   double fraction = 1.0;   ///< brownout: fraction of nominal bandwidth
   sim::Time duration = 0;  ///< brownout: heal after this long (0 = permanent)
-  TransferKind xfer = TransferKind::kAny;  ///< xfail: which transfer class
+  /// xfail: which transfer class.
+  trace::TransferKind xfer = trace::TransferKind::kAny;
   /// Symbolic endpoints (.tpo device names).  Non-empty names override the
   /// index fields; the Injector resolves them against the topology at
   /// arm() time and writes the indices back into a/b.

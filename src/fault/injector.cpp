@@ -93,13 +93,13 @@ XKB_SILENT void Injector::fire_device_fail(const FaultEvent& e) {
   hooks_.device_fail(e.a);
 }
 
-bool Injector::should_fail_transfer(TransferKind k, int src, int dst,
+bool Injector::should_fail_transfer(trace::TransferKind k, int src, int dst,
                                     sim::Time now) {
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
     if (e.kind != FaultKind::kTransferFail || xfail_consumed_[i]) continue;
     if (e.t > now) continue;
-    if (e.xfer != TransferKind::kAny && e.xfer != k) continue;
+    if (e.xfer != trace::TransferKind::kAny && e.xfer != k) continue;
     if (e.a != -1 && e.a != src) continue;
     if (e.b != -1 && e.b != dst) continue;
     xfail_consumed_[i] = 1;

@@ -69,7 +69,8 @@ class Injector {
   /// match any endpoint; d2h matches dst -1) and otherwise draws from
   /// the seeded probability stream.  Deterministic because transfer
   /// issue order is.
-  bool should_fail_transfer(TransferKind k, int src, int dst, sim::Time now);
+  bool should_fail_transfer(trace::TransferKind k, int src, int dst,
+                            sim::Time now);
 
   const Counters& counters() const { return counters_; }
 

@@ -32,12 +32,11 @@ std::uint64_t parse_hex64(const std::string& s) {
   return std::strtoull(s.c_str(), nullptr, 16);
 }
 
-Pick pick_from_string(const std::string& s) {
-  if (s == "host") return Pick::kHost;
-  if (s == "device") return Pick::kDevice;
-  if (s == "wait-device") return Pick::kWaitDevice;
-  if (s == "wait-host") return Pick::kWaitHost;
-  throw std::runtime_error("ledger: unknown pick \"" + s + "\"");
+trace::Pick pick_from_string(const std::string& s) {
+  trace::Pick p{};
+  if (!trace::parse(s, p))
+    throw std::runtime_error("ledger: unknown pick \"" + s + "\"");
+  return p;
 }
 
 std::string pct(double f) {

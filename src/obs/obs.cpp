@@ -5,16 +5,6 @@
 
 namespace xkb::obs {
 
-const char* to_string(Pick p) {
-  switch (p) {
-    case Pick::kHost: return "host";
-    case Pick::kDevice: return "device";
-    case Pick::kWaitDevice: return "wait-device";
-    case Pick::kWaitHost: return "wait-host";
-  }
-  return "?";
-}
-
 Observability::Observability(int num_gpus)
     : gpus_(num_gpus),
       ready_(static_cast<std::size_t>(num_gpus), nullptr),
@@ -153,7 +143,7 @@ void Observability::finalize_registry() {
   // Every kWaitDevice decision is exactly one wait.
   std::uint64_t waits[2] = {};  // optimistic, forced
   for (const Decision& d : decisions_)
-    if (d.pick == Pick::kWaitDevice) ++waits[d.forced ? 1 : 0];
+    if (d.pick == trace::Pick::kWaitDevice) ++waits[d.forced ? 1 : 0];
   set("waits.optimistic", static_cast<double>(waits[0]));
   set("waits.forced", static_cast<double>(waits[1]));
   set("decisions", static_cast<double>(decisions_.size()));

@@ -21,17 +21,18 @@
 //     cross-switch peer copies),
 //   * the per-device ready-queue series.
 // Everything else is derived when an artifact is built: the transfer, time
-// and byte counters, waits.* and span at finalize_registry(), forwarding
-// flows by derive_flows(), and the crash timeline by flight_timeline()
-// (flight_recorder.hpp).  No Platform or DataManager hook runs per transfer
-// or per kernel.
+// and byte counters, waits.*, span and the flows count at
+// finalize_registry() (reports read the count from there; only the Chrome
+// export re-runs derive_flows(), for its arrows), and the crash timeline by
+// flight_timeline() (flight_recorder.hpp).  No Platform or DataManager hook
+// runs per transfer or per kernel.
 //
 // Ownership: an Observability instance is created by the driver (bench
 // skeleton, CLI, test) and attached to the Platform *before* the Runtime is
 // constructed (the runtime caches series pointers for per-event queue-depth
 // sampling); attaching also hands it the platform's trace.  It depends only
 // on sim/topo/trace -- never on runtime -- so every layer above can feed it
-// events.
+// events; what a decision picked is the shared trace::Pick.
 #pragma once
 
 #include <cstddef>
@@ -70,11 +71,6 @@ struct ObsConfig {
   bool enabled = false;
 };
 
-/// What the DataManager picked (mirror of DataManager::Source::Kind; the
-/// mirror avoids an include cycle with runtime/, as in xkb::check).
-enum class Pick : std::uint8_t { kHost, kDevice, kWaitDevice, kWaitHost };
-const char* to_string(Pick p);
-
 /// How an ensure_valid request hit the software cache.
 enum class CacheRef : std::uint8_t { kHit, kMiss, kInFlightHit };
 
@@ -86,7 +82,7 @@ struct Decision {
   sim::Time t = 0.0;
   std::uint64_t handle = 0;  ///< tile id
   int dst = -1;              ///< requesting device
-  Pick pick = Pick::kHost;
+  trace::Pick pick = trace::Pick::kHost;
   int picked_dev = -1;  ///< device source/wait target, -1 for host
   bool forced = false;  ///< kWaitDevice only: coherence-forced, not chosen
   struct Candidate {

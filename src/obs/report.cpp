@@ -68,7 +68,7 @@ RunReport build_report(const trace::Trace& tr, const topo::Topology& topo,
       row.q_max = l->queue().max;
       r.links.push_back(std::move(row));
     }
-    r.flows = derive_flows(tr).size();
+    r.flows = static_cast<std::size_t>(o->metrics().counter_value("flows"));
     r.decisions = o->decisions().size();
   } else {
     // No live probes: re-derive per-link occupancy from the records.  This

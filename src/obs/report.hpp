@@ -38,7 +38,9 @@ struct RunReport {
 
 /// Build a report from a trace.  With `o`, link rows come from the live
 /// probes (which also see the shadow host-link occupancy of cross-switch
-/// PCIe peer copies); without, they are re-derived from the records alone.
+/// PCIe peer copies) and the flow count from its registry, so
+/// o->finalize_registry() must have run on `tr`; without, link rows are
+/// re-derived from the records alone.
 RunReport build_report(const trace::Trace& tr, const topo::Topology& topo,
                        const Observability* o = nullptr);
 

@@ -123,10 +123,10 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
   // Mask the destination while choosing: a re-planned fetch is itself
   // kInFlight and must never pick (or chain on) itself.
   r.state = mem::ReplicaState::kInvalid;
-  const Source s = choose_source(*h, dev);
+  const std::optional<Source> src = choose_source(*h, dev);
   r.state = mem::ReplicaState::kInFlight;
 
-  if (s.kind == Source::kNone) {
+  if (!src) {
     // No copy of the bytes exists anywhere.  Legal only while a producer
     // replay is rebuilding the tile: park until its mark_written re-plans.
     if (!replay_pending_.count(h)) {
@@ -142,18 +142,13 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
     return;
   }
 
+  const Source& s = *src;
   if (obs::Observability* o = plat_->obs()) {
     obs::Decision d;
     d.t = plat_->engine().now();
     d.handle = h->id;
     d.dst = dev;
-    switch (s.kind) {
-      case Source::kHost: d.pick = obs::Pick::kHost; break;
-      case Source::kDevice: d.pick = obs::Pick::kDevice; break;
-      case Source::kWaitDevice: d.pick = obs::Pick::kWaitDevice; break;
-      case Source::kWaitHost: d.pick = obs::Pick::kWaitHost; break;
-      case Source::kNone: break;  // handled above
-    }
+    d.pick = s.pick;
     d.picked_dev = s.dev;
     d.forced = s.forced;
     // Valid replicas first, then the other in-flight receptions, each in
@@ -176,27 +171,18 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
         d.candidates.push_back({g, topo.p2p_perf_rank(g, dev), true});
     o->on_decision(std::move(d));
   }
-  if (check::Checker* c = plat_->checker()) {
-    check::SourceKind k = check::SourceKind::kHost;
-    switch (s.kind) {
-      case Source::kHost: k = check::SourceKind::kHost; break;
-      case Source::kDevice: k = check::SourceKind::kDevice; break;
-      case Source::kWaitDevice: k = check::SourceKind::kWaitDevice; break;
-      case Source::kWaitHost: k = check::SourceKind::kWaitHost; break;
-      case Source::kNone: break;  // handled above
-    }
-    c->on_source_choice(h, dev, k, s.dev, s.forced);
-  }
+  if (check::Checker* c = plat_->checker())
+    c->on_source_choice(h, dev, s.pick, s.dev, s.forced);
 
-  switch (s.kind) {
-    case Source::kHost:
+  switch (s.pick) {
+    case trace::Pick::kHost:
       issue_h2d(h, dev);
       break;
-    case Source::kDevice:
+    case trace::Pick::kDevice:
       h->dev[s.dev].pins++;  // keep the source alive during the copy
       issue_p2p(h, s.dev, dev);
       break;
-    case Source::kWaitDevice: {
+    case trace::Pick::kWaitDevice: {
       // Chain on the in-flight reception.  Only waits *chosen* by the
       // optimistic heuristic count towards its ablation counter; waits forced
       // by coherence (the in-flight copy is the only one) fire under every
@@ -211,13 +197,11 @@ void DataManager::plan_fetch(mem::DataHandle* h, int dev) {
       h->dev[g].chained_dsts.push_back(dev);
       break;
     }
-    case Source::kWaitHost:
+    case trace::Pick::kWaitHost:
       r.fetch_src = mem::kFetchHost;
       r.fetch_waiting = trace::Chain::kForced;
       h->host.chained_dsts.push_back(dev);
       break;
-    case Source::kNone:
-      break;  // handled above
   }
 }
 
@@ -246,8 +230,9 @@ bool DataManager::reception_fed(const mem::DataHandle& h, int dev) const {
   return false;  // cycle: never chain on it
 }
 
-DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
-                                               int dst) const {
+std::optional<DataManager::Source> DataManager::choose_source(
+    const mem::DataHandle& h, int dst) const {
+  using enum trace::Pick;
   const auto& topo = plat_->topology();
   // Failed devices are filtered defensively: mid-recovery, a handle later in
   // the purge order may still show a "valid" replica on the dead GPU.
@@ -272,17 +257,17 @@ DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
         for (int g : valid)
           if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst))
             best = g;
-        if (topo.p2p_perf_rank(best, dst) > 0) return {Source::kDevice, best};
+        if (topo.p2p_perf_rank(best, dst) > 0) return Source{kDevice, best};
         break;  // no peer path: fall through to the host
       }
       case SourcePolicy::kFirstValid:
         if (topo.p2p_perf_rank(valid.front(), dst) > 0)
-          return {Source::kDevice, valid.front()};
+          return Source{kDevice, valid.front()};
         break;
       case SourcePolicy::kSwitchPeer: {
         for (int g : valid)
           if (topo.host_link_of(g) == topo.host_link_of(dst))
-            return {Source::kDevice, g};
+            return Source{kDevice, g};
         break;  // no switch peer holds it: use the host
       }
       case SourcePolicy::kHostOnly:
@@ -301,44 +286,42 @@ DataManager::Source DataManager::choose_source(const mem::DataHandle& h,
           if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst))
             best = g;
         if (topo.p2p_perf_rank(best, dst) > 0)
-          return {Source::kWaitDevice, best};
+          return Source{kWaitDevice, best};
       }
     }
-    return {Source::kHost, -1};
+    return Source{kHost, -1};
   }
 
   // Host copy not valid.  If some device holds the data but has no peer path
   // (or the policy refused it), we still must produce the bytes: fall back to
   // the authoritative device copy.
-  if (!valid.empty()) return {Source::kDevice, valid.front()};
+  if (!valid.empty()) return Source{kDevice, valid.front()};
 
   if (h.host.state == mem::ReplicaState::kInFlight)
-    return {Source::kWaitHost, -1};
+    return Source{kWaitHost, -1};
 
   const std::vector<int> flying = fed_flying();
-  if (flying.empty()) return {Source::kNone, -1};
+  if (flying.empty()) return std::nullopt;
   // Forced wait (not a heuristic): the only copy is in flight.
   int best = flying.front();
   for (int g : flying)
     if (topo.p2p_perf_rank(g, dst) > topo.p2p_perf_rank(best, dst)) best = g;
-  return {Source::kWaitDevice, best, /*forced=*/true};
+  return Source{kWaitDevice, best, /*forced=*/true};
 }
 
 void DataManager::reserve_with_flushes(mem::DataHandle* h, int dev) {
   auto res = plat_->cache(dev).reserve(h);
-  if (check::Checker* c = plat_->checker())
-    for (mem::DataHandle* v : res.clean_evicted)
-      c->on_evict(v, dev, /*was_dirty=*/false);
-  if (obs::Observability* o = plat_->obs())
-    for (std::size_t i = 0; i < res.clean_evicted.size(); ++i)
-      o->on_evict(dev, /*dirty=*/false);
-  for (mem::DataHandle* v : res.dirty_evicted) {
-    stats_.evict_flushes++;
-    if (check::Checker* c = plat_->checker())
-      c->on_evict(v, dev, /*was_dirty=*/true);
-    if (obs::Observability* o = plat_->obs()) o->on_evict(dev, /*dirty=*/true);
-    flush_from_device(v, dev, /*drop_buffer=*/true);
-  }
+  check::Checker* c = plat_->checker();
+  obs::Observability* o = plat_->obs();
+  for (const bool dirty : {false, true})
+    for (mem::DataHandle* v : dirty ? res.dirty_evicted : res.clean_evicted) {
+      if (c) c->on_evict(v, dev, dirty);
+      if (o) o->on_evict(dev, dirty);
+      if (dirty) {
+        stats_.evict_flushes++;
+        flush_from_device(v, dev, /*drop_buffer=*/true);
+      }
+    }
   if (plat_->options().functional) {
     if (h->dev_buf.empty()) h->dev_buf.resize(plat_->num_gpus());
     if (h->dev_buf[dev].size() != h->bytes()) h->dev_buf[dev].resize(h->bytes());
@@ -352,7 +335,7 @@ void DataManager::issue_h2d(mem::DataHandle* h, int dst) {
   const std::uint32_t gen = r.fetch_gen;
   bool fail = false;
   if (fault::Injector* f = plat_->fault())
-    fail = f->should_fail_transfer(fault::TransferKind::kH2D, -1, dst,
+    fail = f->should_fail_transfer(trace::TransferKind::kH2D, -1, dst,
                                    plat_->engine().now());
   stats_.h2d++;
   auto iv = plat_->copy_h2d(dst, h->bytes(), [this, h, dst, gen, fail] {
@@ -368,7 +351,7 @@ void DataManager::issue_h2d(mem::DataHandle* h, int dst) {
     complete_arrival(h, dst);
   }, h->id);
   if (check::Checker* c = plat_->checker())
-    c->on_transfer_issue(check::TransferKind::kH2D, h, -1, dst, iv.start,
+    c->on_transfer_issue(trace::TransferKind::kH2D, h, -1, dst, iv.start,
                          iv.end);
   r.eta = iv.end;
 }
@@ -382,7 +365,7 @@ void DataManager::issue_p2p(mem::DataHandle* h, int src, int dst,
   const std::uint32_t gen = r.fetch_gen;
   bool fail = false;
   if (fault::Injector* f = plat_->fault())
-    fail = f->should_fail_transfer(fault::TransferKind::kD2D, src, dst,
+    fail = f->should_fail_transfer(trace::TransferKind::kD2D, src, dst,
                                    plat_->engine().now());
   stats_.d2d++;
   auto iv = plat_->copy_p2p(src, dst, h->bytes(), [this, h, src, dst, gen,
@@ -399,7 +382,7 @@ void DataManager::issue_p2p(mem::DataHandle* h, int src, int dst,
     complete_arrival(h, dst);
   }, h->id, chain);
   if (check::Checker* c = plat_->checker())
-    c->on_transfer_issue(check::TransferKind::kD2D, h, src, dst, iv.start,
+    c->on_transfer_issue(trace::TransferKind::kD2D, h, src, dst, iv.start,
                          iv.end);
   r.eta = iv.end;
 }
@@ -409,34 +392,13 @@ void DataManager::reception_failed(mem::DataHandle* h, int src, int dst) {
   assert(f && "transfer failure without an injector");
   mem::Replica& r = h->dev[dst];
   if (src >= 0 && !plat_->device_failed(src)) unpin(h, src);
-  r.fetch_attempts++;
-  const fault::RetryPolicy& rp = f->retry();
-  const int attempts = r.fetch_attempts;
-  if (obs::Observability* o = plat_->obs()) {
-    std::ostringstream os;
-    os << (src >= 0 ? "d2d" : "h2d") << " tile " << h->id << " "
-       << endpoint_name(src) << "->gpu" << dst << " attempt " << attempts;
-    o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-  }
-  if (attempts > rp.max_transfer_retries) {
-    std::ostringstream os;
-    os << "transfer of tile " << h->id << " to gpu" << dst << " from "
-       << endpoint_name(src) << " failed " << attempts
-       << " times (retry cap " << rp.max_transfer_retries
-       << "): giving up";
-    throw fault::TransferRetriesExhausted(os.str());
-  }
-  stats_.transfer_aborts++;
-  if (check::Checker* c = plat_->checker())
-    c->on_transfer_abort(src >= 0 ? check::TransferKind::kD2D
-                                  : check::TransferKind::kH2D,
-                         h, src, dst, static_cast<std::size_t>(attempts),
-                         static_cast<std::size_t>(rp.max_transfer_retries));
+  const int attempts = ++r.fetch_attempts;
+  report_abort(h, src, dst, attempts);
   r.fetch_gen++;
   r.fetch_src = mem::kFetchIdle;
   r.fetch_waiting = trace::Chain::kNone;
   const std::uint32_t gen = r.fetch_gen;
-  const double delay = rp.backoff_for(attempts);
+  const double delay = f->retry().backoff_for(attempts);
   auto retry = [this, h, dst, gen] {
     mem::Replica& rr = h->dev[dst];
     if (rr.fetch_gen != gen || rr.state != mem::ReplicaState::kInFlight)
@@ -620,7 +582,7 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
   const std::uint32_t gen = h->host.fetch_gen;
   bool fail = false;
   if (fault::Injector* f = plat_->fault())
-    fail = f->should_fail_transfer(fault::TransferKind::kD2H, src, -1,
+    fail = f->should_fail_transfer(trace::TransferKind::kD2H, src, -1,
                                    plat_->engine().now());
   h->dev[src].pins++;
   stats_.d2h++;
@@ -692,30 +654,11 @@ void DataManager::flush_from_device(mem::DataHandle* h, int src,
 void DataManager::flush_failed(mem::DataHandle* h, int src, bool drop_buffer) {
   fault::Injector* f = plat_->fault();
   assert(f && "flush failure without an injector");
-  h->host.fetch_attempts++;
-  const fault::RetryPolicy& rp = f->retry();
-  const int attempts = h->host.fetch_attempts;
-  if (obs::Observability* o = plat_->obs()) {
-    std::ostringstream os;
-    os << "d2h tile " << h->id << " gpu" << src << "->host attempt "
-       << attempts;
-    o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-  }
-  if (attempts > rp.max_transfer_retries) {
-    std::ostringstream os;
-    os << "flush of tile " << h->id << " from gpu" << src << " to the host"
-       << " failed " << attempts << " times (retry cap "
-       << rp.max_transfer_retries << "): giving up";
-    throw fault::TransferRetriesExhausted(os.str());
-  }
-  stats_.transfer_aborts++;
-  if (check::Checker* c = plat_->checker())
-    c->on_transfer_abort(check::TransferKind::kD2H, h, src, -1,
-                         static_cast<std::size_t>(attempts),
-                         static_cast<std::size_t>(rp.max_transfer_retries));
+  const int attempts = ++h->host.fetch_attempts;
+  report_abort(h, src, -1, attempts);
   h->host.fetch_gen++;
   const std::uint32_t gen = h->host.fetch_gen;
-  const double delay = rp.backoff_for(attempts);
+  const double delay = f->retry().backoff_for(attempts);
   auto retry = [this, h, src, drop_buffer, gen] {
     if (h->host.fetch_gen != gen ||
         h->host.state != mem::ReplicaState::kInFlight)
@@ -731,6 +674,40 @@ void DataManager::flush_failed(mem::DataHandle* h, int src, bool drop_buffer) {
   };
   XKB_ASSERT_INLINE_CAPTURE(retry);
   plat_->engine().schedule_after(delay, std::move(retry));
+}
+
+void DataManager::report_abort(const mem::DataHandle* h, int src, int dst,
+                               int attempt, const char* why) {
+  const trace::TransferKind k = dst < 0    ? trace::TransferKind::kD2H
+                                : src >= 0 ? trace::TransferKind::kD2D
+                                           : trace::TransferKind::kH2D;
+  if (obs::Observability* o = plat_->obs()) {
+    std::ostringstream os;
+    os << trace::to_string(k) << " tile " << h->id << " "
+       << endpoint_name(src) << "->" << endpoint_name(dst);
+    if (attempt > 0)
+      os << " attempt " << attempt;
+    else
+      os << " cancelled: " << why;
+    o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
+  }
+  const int cap =
+      attempt > 0 ? plat_->fault()->retry().max_transfer_retries : 0;
+  if (attempt > cap) {
+    std::ostringstream os;
+    if (k == trace::TransferKind::kD2H)
+      os << "flush of tile " << h->id << " from gpu" << src << " to the host";
+    else
+      os << "transfer of tile " << h->id << " to gpu" << dst << " from "
+         << endpoint_name(src);
+    os << " failed " << attempt << " times (retry cap " << cap
+       << "): giving up";
+    throw fault::TransferRetriesExhausted(os.str());
+  }
+  stats_.transfer_aborts++;
+  if (check::Checker* c = plat_->checker())
+    c->on_transfer_abort(k, h, src, dst, static_cast<std::size_t>(attempt),
+                         static_cast<std::size_t>(cap));
 }
 
 void DataManager::on_device_failure(
@@ -759,18 +736,7 @@ void DataManager::on_device_failure(
         cd.erase(std::remove(cd.begin(), cd.end(), g), cd.end());
       } else if (r.fetch_src >= 0 || r.fetch_src == mem::kFetchHost) {
         // An actual copy toward g is airborne: abort it.
-        stats_.transfer_aborts++;
-        if (check::Checker* c = plat_->checker())
-          c->on_transfer_abort(r.fetch_src >= 0 ? check::TransferKind::kD2D
-                                                : check::TransferKind::kH2D,
-                               h, r.fetch_src, g, 0, 0);
-        if (obs::Observability* o = plat_->obs()) {
-          std::ostringstream os;
-          os << (r.fetch_src >= 0 ? "d2d" : "h2d") << " tile " << h->id
-             << " " << endpoint_name(r.fetch_src) << "->gpu" << g
-             << " cancelled: destination died";
-          o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-        }
+        report_abort(h, r.fetch_src, g, 0, "destination died");
         if (r.fetch_src >= 0 && !plat_->device_failed(r.fetch_src))
           unpin(h, r.fetch_src);
       }
@@ -778,15 +744,7 @@ void DataManager::on_device_failure(
     // A host flush reading from g dies with it.
     if (h->host.state == mem::ReplicaState::kInFlight &&
         h->host.fetch_src == g) {
-      stats_.transfer_aborts++;
-      if (check::Checker* c = plat_->checker())
-        c->on_transfer_abort(check::TransferKind::kD2H, h, g, -1, 0, 0);
-      if (obs::Observability* o = plat_->obs()) {
-        std::ostringstream os;
-        os << "d2h tile " << h->id << " gpu" << g
-           << "->host cancelled: source died";
-        o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-      }
+      report_abort(h, g, -1, 0, "source died");
       h->host.fetch_gen++;
       h->host.fetch_src = mem::kFetchIdle;
       flush_aborted.push_back(h);
@@ -888,15 +846,7 @@ void DataManager::on_device_failure(
         continue;
       if (rd.fetch_waiting == trace::Chain::kNone) {
         // The copy g->d was airborne; its completion is now a dead DMA.
-        stats_.transfer_aborts++;
-        if (check::Checker* c = plat_->checker())
-          c->on_transfer_abort(check::TransferKind::kD2D, h, g, d, 0, 0);
-        if (obs::Observability* o = plat_->obs()) {
-          std::ostringstream os;
-          os << "d2d tile " << h->id << " gpu" << g << "->gpu" << d
-             << " cancelled: source died";
-          o->on_fault_mark(plat_->engine().now(), "transfer_abort", os.str());
-        }
+        report_abort(h, g, d, 0, "source died");
       } else {
         // A waiter chained on g's pending arrival: the wait can never be
         // satisfied, so the re-plan below picks a surviving source.

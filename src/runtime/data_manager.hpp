@@ -37,6 +37,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -47,12 +48,7 @@
 
 namespace xkb::rt {
 
-enum class SourcePolicy {
-  kTopologyAware,
-  kFirstValid,
-  kSwitchPeer,
-  kHostOnly,
-};
+using trace::SourcePolicy;
 
 struct HeuristicConfig {
   SourcePolicy source = SourcePolicy::kTopologyAware;
@@ -151,22 +147,24 @@ class DataManager {
 
  private:
   struct Source {
-    enum Kind { kHost, kDevice, kWaitDevice, kWaitHost, kNone } kind = kHost;
+    trace::Pick pick = trace::Pick::kHost;
     int dev = -1;
     /// kWaitDevice only: true when the wait is forced (the in-flight copy is
     /// the only one anywhere) rather than chosen by the optimistic heuristic.
     bool forced = false;
   };
 
-  Source choose_source(const mem::DataHandle& h, int dst) const;
+  /// Where `dst` gets `h` from; nullopt when no copy exists anywhere.
+  std::optional<Source> choose_source(const mem::DataHandle& h,
+                                      int dst) const;
 
   void acquire_write(mem::DataHandle* h, int dev, sim::Callback done);
   void ensure_valid(mem::DataHandle* h, int dev, sim::Callback done);
   /// Source selection + issue for a replica already in kInFlight: runs
   /// choose_source (with the destination masked out, so a re-plan never
   /// picks itself), emits the decision to obs/check, and issues the copy
-  /// or registers the chain.  kNone parks the fetch when a producer replay
-  /// is pending, else raises UnrecoverableDataLoss.
+  /// or registers the chain.  No source parks the fetch when a producer
+  /// replay is pending, else raises UnrecoverableDataLoss.
   void plan_fetch(mem::DataHandle* h, int dev);
   /// Cancel whatever fetch `dev`'s in-flight replica was waiting on (bumps
   /// fetch_gen) and plan a fresh one.  No-op unless the replica is
@@ -178,6 +176,14 @@ class DataManager {
   /// A host flush from `src` died in flight: like reception_failed for the
   /// host copy; the retry re-reads from whichever device is dirty by then.
   void flush_failed(mem::DataHandle* h, int src, bool drop_buffer);
+  /// Report one transfer of `h` that died in flight, from `src` (a device
+  /// or the host) to `dst` (a device, or -1 for a host flush): the obs
+  /// `transfer_abort` mark, then the abort count and the checker hook.
+  /// `attempt` > 0 numbers a failed try of a retried transfer: past the
+  /// retry cap only the mark is made, then TransferRetriesExhausted is
+  /// thrown.  `attempt` == 0 is a cancellation because `why`.
+  void report_abort(const mem::DataHandle* h, int src, int dst, int attempt,
+                    const char* why = nullptr);
   /// Walk the wait-chain feeding the in-flight reception at `dev`: true
   /// iff it terminates in an actual transfer from the host or a live
   /// device.  Chaining on an unfed reception (parked, or sourced from a

@@ -13,29 +13,6 @@
 
 namespace xkb::rt {
 
-namespace {
-
-check::Mode mirror(Access a) {
-  switch (a) {
-    case Access::kR: return check::Mode::kR;
-    case Access::kW: return check::Mode::kW;
-    case Access::kRW: return check::Mode::kRW;
-  }
-  return check::Mode::kR;
-}
-
-check::Policy mirror(SourcePolicy p) {
-  switch (p) {
-    case SourcePolicy::kTopologyAware: return check::Policy::kTopologyAware;
-    case SourcePolicy::kFirstValid: return check::Policy::kFirstValid;
-    case SourcePolicy::kSwitchPeer: return check::Policy::kSwitchPeer;
-    case SourcePolicy::kHostOnly: return check::Policy::kHostOnly;
-  }
-  return check::Policy::kTopologyAware;
-}
-
-}  // namespace
-
 void RuntimeOptions::validate() const {
   if (prepare_window <= 0)
     throw std::invalid_argument(
@@ -66,7 +43,7 @@ Runtime::Runtime(Platform& plat, std::unique_ptr<Scheduler> sched,
   if (opt_.check.enabled) {
     checker_ = std::make_unique<check::Checker>(
         opt_.check, plat.num_gpus(), plat.options().kernel_streams,
-        mirror(opt_.heuristics.source), opt_.heuristics.optimistic_d2d);
+        opt_.heuristics.source, opt_.heuristics.optimistic_d2d);
     plat_->set_checker(checker_.get());
     plat_->engine().set_observer(
         [c = checker_.get()](sim::Time t, std::uint64_t seq) {
@@ -140,22 +117,7 @@ void Runtime::submit(TaskDesc desc) {
                                  }),
                   preds.end());
   }
-  for (Task* p : preds) {
-    p->successors.push_back(t);
-    ++t->pending_deps;
-  }
-  if (checker_) {
-    std::vector<std::pair<const mem::DataHandle*, check::Mode>> acc;
-    acc.reserve(t->desc.accesses.size());
-    for (const TaskAccess& a : t->desc.accesses)
-      acc.emplace_back(a.handle, mirror(a.mode));
-    std::vector<std::uint64_t> pred_ids;
-    pred_ids.reserve(preds.size());
-    for (Task* p : preds) pred_ids.push_back(p->id);
-    checker_->on_submit(t->id, t->desc.label, acc, std::move(pred_ids));
-  }
-  if (watchdog_) watchdog_->ensure_armed();
-  if (t->pending_deps == 0) on_ready(t);
+  link(t, preds);
 }
 
 Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
@@ -182,15 +144,20 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
   std::sort(preds.begin(), preds.end(),
             [](const Task* a, const Task* b) { return a->id < b->id; });
   preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+  link(t, preds);
+  return t;
+}
+
+void Runtime::link(Task* t, const std::vector<Task*>& preds) {
   for (Task* p : preds) {
     p->successors.push_back(t);
     ++t->pending_deps;
   }
   if (checker_) {
-    std::vector<std::pair<const mem::DataHandle*, check::Mode>> acc;
+    std::vector<std::pair<const mem::DataHandle*, Access>> acc;
     acc.reserve(t->desc.accesses.size());
     for (const TaskAccess& a : t->desc.accesses)
-      acc.emplace_back(a.handle, mirror(a.mode));
+      acc.emplace_back(a.handle, a.mode);
     std::vector<std::uint64_t> pred_ids;
     pred_ids.reserve(preds.size());
     for (Task* p : preds) pred_ids.push_back(p->id);
@@ -198,7 +165,6 @@ Task* Runtime::submit_replay(TaskDesc desc, mem::DataHandle* out) {
   }
   if (watchdog_) watchdog_->ensure_armed();
   if (t->pending_deps == 0) on_ready(t);
-  return t;
 }
 
 void Runtime::coherent_async(mem::DataHandle* h,

@@ -176,6 +176,9 @@ class Runtime {
   /// output: pending readers are data-parked on the regenerated version,
   /// not ordered before it (ordering them first would deadlock).
   Task* submit_replay(TaskDesc desc, mem::DataHandle* out);
+  /// Make `t` a successor of `preds` (its dependences, deduplicated), tell
+  /// the checker, and mark it ready when nothing is pending.
+  void link(Task* t, const std::vector<Task*>& preds);
   int pick_alive_device(Task* t);
   [[noreturn]] void on_stuck(std::uint64_t pending);
 

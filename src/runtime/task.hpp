@@ -14,10 +14,11 @@
 #include <vector>
 
 #include "mem/handle.hpp"
+#include "trace/trace.hpp"
 
 namespace xkb::rt {
 
-enum class Access : std::uint8_t { kR, kW, kRW };
+using trace::Access;
 
 struct TaskAccess {
   mem::DataHandle* handle = nullptr;

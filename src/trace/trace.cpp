@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <initializer_list>
 
 namespace xkb::trace {
 
@@ -14,15 +15,67 @@ const char* to_string(OpKind k) {
   return "?";
 }
 
-bool parse_kind(const std::string& s, OpKind& out) {
-  for (OpKind k : {OpKind::kHtoD, OpKind::kDtoH, OpKind::kPtoP,
-                   OpKind::kKernel}) {
-    if (s == to_string(k)) {
-      out = k;
+namespace {
+
+/// The value of `E` whose to_string is `s`, among `all`.
+template <class E>
+bool parse_name(const std::string& s, std::initializer_list<E> all, E& out) {
+  for (E v : all)
+    if (s == to_string(v)) {
+      out = v;
       return true;
     }
-  }
   return false;
+}
+
+}  // namespace
+
+bool parse_kind(const std::string& s, OpKind& out) {
+  return parse_name(s, {OpKind::kHtoD, OpKind::kDtoH, OpKind::kPtoP,
+                        OpKind::kKernel}, out);
+}
+
+const char* to_string(Access a) {
+  switch (a) {
+    case Access::kR: return "r";
+    case Access::kW: return "w";
+    case Access::kRW: return "rw";
+  }
+  return "?";
+}
+
+const char* to_string(Pick p) {
+  switch (p) {
+    case Pick::kHost: return "host";
+    case Pick::kDevice: return "device";
+    case Pick::kWaitDevice: return "wait-device";
+    case Pick::kWaitHost: return "wait-host";
+  }
+  return "?";
+}
+
+const char* to_string(TransferKind k) {
+  switch (k) {
+    case TransferKind::kH2D: return "h2d";
+    case TransferKind::kD2D: return "d2d";
+    case TransferKind::kD2H: return "d2h";
+    case TransferKind::kAny: return "any";
+  }
+  return "?";
+}
+
+bool parse(const std::string& s, Access& out) {
+  return parse_name(s, {Access::kR, Access::kW, Access::kRW}, out);
+}
+
+bool parse(const std::string& s, Pick& out) {
+  return parse_name(s, {Pick::kHost, Pick::kDevice, Pick::kWaitDevice,
+                        Pick::kWaitHost}, out);
+}
+
+bool parse(const std::string& s, TransferKind& out) {
+  return parse_name(s, {TransferKind::kH2D, TransferKind::kD2D,
+                        TransferKind::kD2H, TransferKind::kAny}, out);
 }
 
 void Trace::add(Record r) {

@@ -26,6 +26,41 @@ bool parse_kind(const std::string& s, OpKind& out);
 /// copy.  A host wait (the tile is in flight to the host) counts as forced.
 enum class Chain : std::uint8_t { kNone, kOptimistic, kForced };
 
+// The data-path vocabulary: the one definition of each value the runtime,
+// xkb::check, xkb::obs, xkb::fault and xkb::wl exchange.  It lives here
+// because every one of those layers already links the trace.  The checker
+// folds Access, Pick and TransferKind into its event hash by value, so the
+// numbering is part of every pinned hash (tests/golden/event_hashes.txt).
+
+/// Access mode of a task operand.
+enum class Access : std::uint8_t { kR, kW, kRW };
+
+/// Where choose_source may take a replica from (Section III-B and the
+/// policies of the libraries the paper compares against).  Left int-sized:
+/// gtest names value-parameterized tests by the bytes of their parameters,
+/// several of which hold a HeuristicConfig.
+enum class SourcePolicy {
+  kTopologyAware,  ///< best P2P performance rank (the paper's heuristic)
+  kFirstValid,     ///< first valid device in index order ("no topo")
+  kSwitchPeer,     ///< a device behind the destination's PCIe switch
+  kHostOnly,       ///< never a peer device
+};
+
+/// What choose_source picked: the host copy, a device copy, or a wait on a
+/// reception in flight to a device (Section III-C) or to the host.
+enum class Pick : std::uint8_t { kHost, kDevice, kWaitDevice, kWaitHost };
+
+/// A DataManager transfer class; kAny, last, only matches in fault plans.
+enum class TransferKind : std::uint8_t { kH2D, kD2D, kD2H, kAny };
+
+const char* to_string(Access a);        ///< "r", "w", "rw"
+const char* to_string(Pick p);          ///< "host", "wait-device", ...
+const char* to_string(TransferKind k);  ///< "h2d", "d2d", "d2h", "any"
+/// Inverses of to_string; false when `s` names no value.
+bool parse(const std::string& s, Access& out);
+bool parse(const std::string& s, Pick& out);
+bool parse(const std::string& s, TransferKind& out);
+
 /// Record::tile of an operation that moves no DataManager tile (kernels,
 /// raw platform copies).
 inline constexpr std::uint64_t kNoTile = ~std::uint64_t{0};

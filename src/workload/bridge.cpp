@@ -4,19 +4,6 @@
 
 namespace xkb::wl {
 
-namespace {
-
-rt::Access to_rt(Mode m) {
-  switch (m) {
-    case Mode::kR: return rt::Access::kR;
-    case Mode::kW: return rt::Access::kW;
-    case Mode::kRW: return rt::Access::kRW;
-  }
-  return rt::Access::kR;
-}
-
-}  // namespace
-
 Bridge::Bridge(rt::Runtime& runtime, const WorkloadGraph& graph,
                BridgeOptions opt)
     : rt_(runtime), g_(graph), opt_(std::move(opt)) {
@@ -93,7 +80,7 @@ void Bridge::emit() {
     d.eff_factor = t.eff_factor;
     d.accesses.reserve(t.accesses.size());
     for (const TaskAccessSpec& a : t.accesses)
-      d.accesses.push_back({handles_[a.tile], to_rt(a.mode)});
+      d.accesses.push_back({handles_[a.tile], a.mode});
     // blas::detail::set_home_and_place, keyed by the task's place coords.
     const int oa = t.out_access();
     if (oa >= 0 && opt_.home) {

@@ -16,6 +16,8 @@
 
 namespace xkb::wl {
 
+using trace::Access;
+
 namespace {
 
 /// Side of the (square) tile holding ~`bytes` of `wordsize`-byte elements.
@@ -78,13 +80,13 @@ WorkloadGraph layered(const WorkloadSpec& spec, DepsFn deps) {
         std::vector<std::size_t> d = deps(0, p);
         if (d.empty()) d.push_back(p);
         for (std::size_t q : d)
-          task.accesses.push_back({inputs[q], Mode::kR});
+          task.accesses.push_back({inputs[q], Access::kR});
       } else {
         for (std::size_t q : deps(t, p))
-          task.accesses.push_back({prev[q], Mode::kR});
+          task.accesses.push_back({prev[q], Access::kR});
       }
       const std::uint32_t out = g.add_tile(side, side);
-      task.accesses.push_back({out, Mode::kW});
+      task.accesses.push_back({out, Access::kW});
       cur.push_back(out);
       g.tasks.push_back(std::move(task));
     }
@@ -180,14 +182,14 @@ WorkloadGraph gen_tree(const WorkloadSpec& spec) {
       task.place_i = p;
       task.place_j = t;
       if (t == 0) {
-        task.accesses.push_back({inputs[p], Mode::kR});
+        task.accesses.push_back({inputs[p], Access::kR});
       } else {
-        task.accesses.push_back({prev[2 * p], Mode::kR});
+        task.accesses.push_back({prev[2 * p], Access::kR});
         if (2 * p + 1 < prev.size())
-          task.accesses.push_back({prev[2 * p + 1], Mode::kR});
+          task.accesses.push_back({prev[2 * p + 1], Access::kR});
       }
       const std::uint32_t out = g.add_tile(side, side);
-      task.accesses.push_back({out, Mode::kW});
+      task.accesses.push_back({out, Access::kW});
       cur.push_back(out);
       g.tasks.push_back(std::move(task));
     }
@@ -244,7 +246,9 @@ WorkloadGraph gen_dnn(const WorkloadSpec& spec) {
       const std::uint32_t out = g.add_tile(side, side);
       act[l + 1].push_back(out);
       task("fwd", layer_cost[l], p, l,
-           {{act[l][p], Mode::kR}, {weight[l], Mode::kR}, {out, Mode::kW}});
+           {{act[l][p], Access::kR},
+            {weight[l], Access::kR},
+            {out, Access::kW}});
     }
 
   // Loss gradient per shard.
@@ -253,7 +257,7 @@ WorkloadGraph gen_dnn(const WorkloadSpec& spec) {
   for (std::size_t p = 0; p < W; ++p) {
     grad[L][p] = g.add_tile(side, side);
     task("loss", spec.flops, p, L,
-         {{act[L][p], Mode::kR}, {grad[L][p], Mode::kW}});
+         {{act[L][p], Access::kR}, {grad[L][p], Access::kW}});
   }
 
   // Backward pass: each step produces the input gradient and a per-shard
@@ -266,11 +270,11 @@ WorkloadGraph gen_dnn(const WorkloadSpec& spec) {
       grad[li][p] = g.add_tile(side, side);
       wgrad[li][p] = g.add_tile(side, side);
       task("bwd", layer_cost[li], p, li,
-           {{grad[li + 1][p], Mode::kR},
-            {act[li][p], Mode::kR},
-            {weight[li], Mode::kR},
-            {grad[li][p], Mode::kW},
-            {wgrad[li][p], Mode::kW}});
+           {{grad[li + 1][p], Access::kR},
+            {act[li][p], Access::kR},
+            {weight[li], Access::kR},
+            {grad[li][p], Access::kW},
+            {wgrad[li][p], Access::kW}});
     }
   }
 
@@ -279,9 +283,10 @@ WorkloadGraph gen_dnn(const WorkloadSpec& spec) {
     for (std::size_t h = 1; h < W; h *= 2)
       for (std::size_t a = 0; a + h < W; a += 2 * h)
         task("wred", red_flops, a, l,
-             {{wgrad[l][a + h], Mode::kR}, {wgrad[l][a], Mode::kRW}});
+             {{wgrad[l][a + h], Access::kR},
+              {wgrad[l][a], Access::kRW}});
     task("wupd", red_flops, 0, l,
-         {{wgrad[l][0], Mode::kR}, {weight[l], Mode::kRW}});
+         {{wgrad[l][0], Access::kR}, {weight[l], Access::kRW}});
   }
 
   // Trained weights come home (exercises lazy coherency + D2H).
@@ -333,7 +338,7 @@ WorkloadGraph composition_graph(std::size_t n, std::size_t ts) {
       const std::uint32_t hBk = tile(B, k, j);
       TaskSpec t;
       t.label = "trsm";
-      t.accesses = {{hAkk, Mode::kR}, {hBk, Mode::kRW}};
+      t.accesses = {{hAkk, Access::kR}, {hBk, Access::kRW}};
       t.flops = static_cast<double>(bk) * bj * bk;
       t.min_dim = std::min(bk, bj);
       t.eff_factor = 0.5;  // triangular solves run well below GEMM speed
@@ -347,7 +352,8 @@ WorkloadGraph composition_graph(std::size_t n, std::size_t ts) {
         const std::uint32_t hBm = tile(B, m, j);
         TaskSpec u;
         u.label = "trsm";
-        u.accesses = {{hAmk, Mode::kR}, {hBk, Mode::kR}, {hBm, Mode::kRW}};
+        u.accesses = {
+            {hAmk, Access::kR}, {hBk, Access::kR}, {hBm, Access::kRW}};
         u.flops = 2.0 * static_cast<double>(bm) * bj * bk;
         u.min_dim = std::min({bm, bj, bk});
         u.place_i = m;
@@ -368,7 +374,8 @@ WorkloadGraph composition_graph(std::size_t n, std::size_t ts) {
         const std::uint32_t hD = tile(D, l, j);
         TaskSpec t;
         t.label = "gemm";
-        t.accesses = {{hB, Mode::kR}, {hD, Mode::kR}, {hC, Mode::kRW}};
+        t.accesses = {
+            {hB, Access::kR}, {hD, Access::kR}, {hC, Access::kRW}};
         t.flops = 2.0 * static_cast<double>(bm) * bn * bk;
         t.min_dim = std::min({bm, bn, bk});
         t.place_i = i;

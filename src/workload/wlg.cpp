@@ -150,10 +150,7 @@ WorkloadGraph parse_wlg(const std::string& text, const std::string& origin) {
         const std::string mode = acc.substr(0, colon);
         const std::string tile = acc.substr(colon + 1);
         TaskAccessSpec a;
-        if (mode == "r") a.mode = Mode::kR;
-        else if (mode == "w") a.mode = Mode::kW;
-        else if (mode == "rw") a.mode = Mode::kRW;
-        else
+        if (!trace::parse(mode, a.mode))
           ctx.fail("access", "mode '" + mode + "' is not one of r, w, rw");
         std::size_t pos = 0;
         unsigned long long id = 0;

@@ -28,13 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "trace/trace.hpp"
+
 namespace xkb::wl {
-
-/// Access mode of one task on one tile (mirror of rt::Access; the mirror
-/// keeps the graph layer free of runtime headers, as in xkb::check).
-enum class Mode : std::uint8_t { kR, kW, kRW };
-
-const char* to_string(Mode m);
 
 /// One logical tile: a dense m x n array of `wordsize`-byte elements.  The
 /// bridge interns one mem::DataHandle per tile, so replicas, coherence and
@@ -47,7 +43,7 @@ struct TileSpec {
 
 struct TaskAccessSpec {
   std::uint32_t tile = 0;
-  Mode mode = Mode::kR;
+  trace::Access mode = trace::Access::kR;
   bool operator==(const TaskAccessSpec&) const = default;
 };
 
@@ -71,7 +67,7 @@ struct TaskSpec {
   /// coordinate anchors the task (owner-computes "output tile").
   int out_access() const {
     for (std::size_t a = 0; a < accesses.size(); ++a)
-      if (accesses[a].mode != Mode::kR) return static_cast<int>(a);
+      if (accesses[a].mode != trace::Access::kR) return static_cast<int>(a);
     return -1;
   }
 };

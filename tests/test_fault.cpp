@@ -48,7 +48,7 @@ TEST(FaultPlan, TextFormatRoundTrips) {
   EXPECT_DOUBLE_EQ(p.events[0].fraction, 0.25);
   EXPECT_DOUBLE_EQ(p.events[0].duration, 0.002);
   EXPECT_EQ(p.events[3].kind, fault::FaultKind::kTransferFail);
-  EXPECT_EQ(p.events[3].xfer, fault::TransferKind::kD2D);
+  EXPECT_EQ(p.events[3].xfer, trace::TransferKind::kD2D);
   EXPECT_EQ(p.events[6].kind, fault::FaultKind::kDeviceFail);
   EXPECT_EQ(p.events[6].a, 5);
   // to_text -> parse is the identity on the parsed representation.
@@ -308,7 +308,7 @@ TEST(FaultEffects, TransientTransferFailuresRetryAndComplete) {
   plan.fail_prob = 0.05;
   fault::FaultEvent e;
   e.kind = fault::FaultKind::kTransferFail;
-  e.xfer = fault::TransferKind::kAny;
+  e.xfer = trace::TransferKind::kAny;
   for (double t : {0.0, 0.001, 0.002, 0.003}) {
     e.t = t;
     plan.events.push_back(e);
@@ -643,7 +643,7 @@ TEST(Injector, UnconsumedTargetedFaultsAreSurfaced) {
   fault::FaultEvent e;
   e.kind = fault::FaultKind::kTransferFail;
   e.t = 1e9;  // long after the run ends: nobody consumes it
-  e.xfer = fault::TransferKind::kD2H;
+  e.xfer = trace::TransferKind::kD2H;
   plan.events.push_back(e);
   const baselines::BenchResult r = bench(Blas3::kGemm, false, plan);
   ASSERT_FALSE(r.failed) << r.error;

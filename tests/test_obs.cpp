@@ -17,9 +17,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baselines/common.hpp"
 #include "baselines/library_model.hpp"
+#include "baselines/workload_entry.hpp"
+#include "fault/fault.hpp"
 #include "blas/tiled.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/ledger.hpp"
@@ -28,6 +31,7 @@
 #include "runtime/runtime.hpp"
 #include "runtime/scheduler.hpp"
 #include "trace/export.hpp"
+#include "workload/workload.hpp"
 
 namespace xkb::obs {
 namespace {
@@ -392,7 +396,7 @@ TEST(ObservedRun, DecisionsCoverEveryMissAndRegistryNamesExist) {
   EXPECT_GT(r.o.decisions().size(), 0u);
   for (const Decision& d : r.o.decisions()) {
     EXPECT_GE(d.dst, 0);
-    if (d.pick == Pick::kDevice || d.pick == Pick::kWaitDevice) {
+    if (d.pick == trace::Pick::kDevice || d.pick == trace::Pick::kWaitDevice) {
       EXPECT_GE(d.picked_dev, 0);
     }
   }
@@ -583,6 +587,82 @@ TEST(BenchObs, DisabledObsLeavesResultEmpty) {
   EXPECT_FALSE(r.obs);
   EXPECT_FALSE(r.topology);
   EXPECT_TRUE(r.trace.records().empty());
+}
+
+// ----------------------------------------------------------- fault marks
+
+/// xkbsim_cli --workload stencil_1d:width=16,depth=16 under `plan`, obs on.
+baselines::BenchResult faulted_stencil(const fault::FaultPlan& plan) {
+  baselines::WorkloadBenchConfig cfg;
+  cfg.check.enabled = true;
+  cfg.obs.enabled = true;
+  cfg.fault_plan = plan;
+  return baselines::run_workload(
+      baselines::spec_for_library("xkblas", rt::HeuristicConfig::xkblas()),
+      wl::build(wl::WorkloadSpec::parse("stencil_1d:width=16,depth=16")),
+      cfg);
+}
+
+/// The plan of the pinned event-hash golden: it fires every recovery path.
+fault::FaultPlan recovery_plan() {
+  return fault::FaultPlan::parse_file(std::string(XKB_GOLDEN_DIR) +
+                                      "/fault_recovery.plan");
+}
+
+std::vector<std::string> abort_details(const Observability& o) {
+  std::vector<std::string> out;
+  for (const FaultMark& m : o.fault_marks())
+    if (m.what == "transfer_abort") out.push_back(m.detail);
+  return out;
+}
+
+// Each recovery action the runtime counts is one fault.* count in the
+// registry, and each counted abort left one mark.
+TEST(FaultMarks, CountersMatchTheRecoveryStats) {
+  const baselines::BenchResult r = faulted_stencil(recovery_plan());
+  ASSERT_FALSE(r.failed) << r.error;
+  EXPECT_TRUE(r.check_ok) << r.check_report;
+  ASSERT_TRUE(r.obs);
+  const rt::TransferStats& s = r.transfers;
+  auto count = [&r](const std::string& what) {
+    return static_cast<std::size_t>(
+        r.obs->metrics().counter_value("fault." + what));
+  };
+  EXPECT_EQ(count("transfer_abort"), s.transfer_aborts);
+  EXPECT_EQ(count("transfer_retry"), s.transfer_retries);
+  EXPECT_EQ(count("waiter_replan"), s.waiter_replans);
+  EXPECT_EQ(count("task_remap"), r.task_remaps);
+  EXPECT_EQ(count("replay"), r.task_replays);
+  EXPECT_EQ(abort_details(*r.obs).size(), s.transfer_aborts);
+  // Vacuous unless the plan reaches every one of them.
+  EXPECT_GT(s.transfer_aborts, 0u);
+  EXPECT_GT(s.transfer_retries, 0u);
+  EXPECT_GT(s.waiter_replans, 0u);
+  EXPECT_GT(r.task_remaps, 0u);
+  EXPECT_GT(r.task_replays, 0u);
+}
+
+// The five places a transfer dies in flight each describe it their way:
+// a failed reception or host flush names its attempt, a cancellation names
+// the endpoint that died.
+TEST(FaultMarks, EveryAbortSiteWritesItsDetail) {
+  std::vector<std::string> details;
+  for (const fault::FaultPlan& plan :
+       {recovery_plan(), fault::FaultPlan::parse("device-fail 0.01 2\n")}) {
+    const baselines::BenchResult r = faulted_stencil(plan);
+    ASSERT_FALSE(r.failed) << r.error;
+    ASSERT_TRUE(r.obs);
+    for (std::string& d : abort_details(*r.obs)) details.push_back(d);
+  }
+  for (const char* want : {
+           "h2d tile 11 host->gpu2 attempt 1",  // reception retry
+           "d2h tile 272 gpu7->host attempt 1",  // host flush retry
+           "h2d tile 11 host->gpu1 cancelled: destination died",
+           "d2h tile 267 gpu2->host cancelled: source died",
+           "d2d tile 34 gpu1->gpu0 cancelled: source died",
+       })
+    EXPECT_NE(std::find(details.begin(), details.end(), want), details.end())
+        << want;
 }
 
 }  // namespace

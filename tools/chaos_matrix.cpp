@@ -95,7 +95,7 @@ fault::FaultPlan make_plan(const std::string& kind, double T, int gpus) {
     // retry machinery must absorb all of it.
     plan.fail_prob = 0.02;
     e.kind = fault::FaultKind::kTransferFail;
-    e.xfer = fault::TransferKind::kAny;
+    e.xfer = trace::TransferKind::kAny;
     for (double f : {0.1, 0.3, 0.5, 0.7}) {
       e.t = f * T;
       plan.events.push_back(e);
